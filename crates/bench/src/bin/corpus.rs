@@ -47,40 +47,24 @@
 //! varies. Compare snapshots with `benchdiff`, render them with
 //! `profile_report`.
 
-use ims_bench::pool::{backend_or_exit, pressure_or_exit, threads_or_exit};
-use ims_bench::profile::{
-    measure_corpus_pressure_profiled, measure_corpus_profiled, parse_profile_path, write_profile,
-};
-use ims_bench::{
-    conflict_budget_for_ms, corpus_jsonl_opts, measure_corpus_backend, measure_corpus_pressure,
-    measure_corpus_traced, node_budget_for_ms, parse_trace_dir,
-};
+use ims_bench::pool::{backend_or_exit, flag_or_exit, pressure_or_exit, threads_or_exit};
+use ims_bench::profile::{parse_profile_path, write_profile};
+use ims_bench::{corpus_jsonl_opts, measure_corpus, parse_trace_dir, work_limit_for_ms, Run};
 use ims_core::{BackendKind, BackendSpec};
 use ims_loopgen::corpus_of_size;
 use ims_machine::{cydra, cydra_rf};
+use ims_prof::MetricsRegistry;
 
-fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                return v;
-            }
-        } else if let Some(v) = a.strip_prefix(name).and_then(|r| r.strip_prefix('=')) {
-            if let Ok(v) = v.parse() {
-                return v;
-            }
-        }
-    }
-    default
-}
+const USAGE: &str = "usage: corpus [--seed H] [--loops N] [--budget R] [--threads T] [--trace DIR]
+              [--backend ims|exact|sat] [--deadline-ms D] [--wall] [--profile FILE]
+              [--pressure-limit N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = flag(&args, "--seed", 0xC4D5);
-    let loops: usize = flag(&args, "--loops", 1327);
-    let budget: f64 = flag(&args, "--budget", 6.0);
-    let deadline_ms: u64 = flag(&args, "--deadline-ms", 5000);
+    let seed: u64 = flag_or_exit(&args, "--seed", USAGE).unwrap_or(0xC4D5);
+    let loops: usize = flag_or_exit(&args, "--loops", USAGE).unwrap_or(1327);
+    let budget: f64 = flag_or_exit(&args, "--budget", USAGE).unwrap_or(6.0);
+    let deadline_ms: u64 = flag_or_exit(&args, "--deadline-ms", USAGE).unwrap_or(5000);
     let with_wall = args.iter().any(|a| a == "--wall");
     let threads = threads_or_exit(&args);
     let trace_dir = parse_trace_dir(&args);
@@ -106,11 +90,6 @@ fn main() {
         eprintln!("corpus: --pressure-limit cannot be combined with --trace");
         std::process::exit(2);
     }
-    let work_limit = match backend {
-        BackendKind::Sat => conflict_budget_for_ms(deadline_ms),
-        _ => node_budget_for_ms(deadline_ms),
-    };
-
     let corpus = corpus_of_size(seed, loops);
     // A pressure limit names a register-file capacity, so it also selects
     // the machine variant that declares that capacity.
@@ -118,58 +97,23 @@ fn main() {
         Some(limit) => cydra_rf(limit),
         None => cydra(),
     };
+    let run = Run::new(backend, budget)
+        .work_limit(work_limit_for_ms(backend, deadline_ms))
+        .pressure_limit(pressure_limit);
+    let mut profile = profile_path.as_ref().map(|_| MetricsRegistry::new());
     let t0 = std::time::Instant::now();
-    let ms = if let Some(limit) = pressure_limit {
-        if let Some(profile_path) = &profile_path {
-            let (ms, reg) =
-                measure_corpus_pressure_profiled(&corpus, &machine, budget, limit, threads);
-            write_profile(profile_path, "corpus", &reg).unwrap_or_else(|e| {
-                eprintln!("corpus: cannot write profile {}: {e}", profile_path.display());
-                std::process::exit(1);
-            });
-            ms
-        } else {
-            measure_corpus_pressure(&corpus, &machine, budget, limit, threads)
-        }
-    } else if let Some(profile_path) = &profile_path {
-        let (ms, reg) = measure_corpus_profiled(
-            &corpus,
-            &machine,
-            backend,
-            budget,
-            work_limit,
-            threads,
-            trace_dir.as_deref(),
-            "",
-        )
+    let trace = trace_dir.as_deref().map(|dir| (dir, ""));
+    let ms = measure_corpus(&corpus, &machine, &run, threads, trace, profile.as_mut())
         .unwrap_or_else(|e| {
             eprintln!("corpus: cannot write traces: {e}");
             std::process::exit(1);
         });
-        write_profile(profile_path, "corpus", &reg).unwrap_or_else(|e| {
-            eprintln!("corpus: cannot write profile {}: {e}", profile_path.display());
+    if let (Some(path), Some(reg)) = (&profile_path, &profile) {
+        write_profile(path, "corpus", reg).unwrap_or_else(|e| {
+            eprintln!("corpus: cannot write profile {}: {e}", path.display());
             std::process::exit(1);
         });
-        ms
-    } else {
-        match backend {
-            BackendKind::Ims => {
-                measure_corpus_traced(&corpus, &machine, budget, threads, trace_dir.as_deref(), "")
-                    .unwrap_or_else(|e| {
-                        eprintln!("corpus: cannot write traces: {e}");
-                        std::process::exit(1);
-                    })
-            }
-            BackendKind::Exact | BackendKind::Sat => measure_corpus_backend(
-                &corpus,
-                &machine,
-                backend,
-                budget,
-                work_limit,
-                threads,
-            ),
-        }
-    };
+    }
     let elapsed = t0.elapsed();
 
     print!("{}", corpus_jsonl_opts(&ms, with_wall));

@@ -8,11 +8,11 @@
 //! the `corpus` binary).
 
 use ims_bench::pool::threads_from_args;
-use ims_bench::profile::{measure_corpus_profiled, parse_profile_path, write_profile};
-use ims_bench::{measure_corpus_traced, parse_trace_dir, LoopMeasurement};
-use ims_core::BackendKind;
+use ims_bench::profile::{parse_profile_path, write_profile};
+use ims_bench::{measure_corpus, parse_trace_dir, LoopMeasurement, Run};
 use ims_loopgen::paper_corpus;
 use ims_machine::cydra;
+use ims_prof::MetricsRegistry;
 use ims_stats::table::{num, Table};
 use ims_stats::{DistributionStats, Histogram};
 
@@ -28,41 +28,28 @@ fn row(t: &mut Table, name: &str, s: &DistributionStats) {
 }
 
 fn main() {
-    let corpus = paper_corpus(0xC4D5);
+    let args: Vec<String> = std::env::args().collect();
     let threads = threads_from_args();
+    let trace_dir = parse_trace_dir(&args);
+    let profile_path = parse_profile_path(&args);
+    let corpus = paper_corpus(0xC4D5);
     eprintln!(
         "scheduling {} loops (BudgetRatio = 6, {threads} threads)...",
         corpus.len()
     );
-    let args: Vec<String> = std::env::args().collect();
-    let trace_dir = parse_trace_dir(&args);
-    let ms = if let Some(profile_path) = parse_profile_path(&args) {
-        let (ms, reg) = measure_corpus_profiled(
-            &corpus,
-            &cydra(),
-            BackendKind::Ims,
-            6.0,
-            None,
-            threads,
-            trace_dir.as_deref(),
-            "",
-        )
+    let mut profile = profile_path.as_ref().map(|_| MetricsRegistry::new());
+    let trace = trace_dir.as_deref().map(|dir| (dir, ""));
+    let ms = measure_corpus(&corpus, &cydra(), &Run::ims(6.0), threads, trace, profile.as_mut())
         .unwrap_or_else(|e| {
             eprintln!("table3: cannot write traces: {e}");
             std::process::exit(1);
         });
-        write_profile(&profile_path, "table3", &reg).unwrap_or_else(|e| {
-            eprintln!("table3: cannot write profile {}: {e}", profile_path.display());
+    if let (Some(path), Some(reg)) = (&profile_path, &profile) {
+        write_profile(path, "table3", reg).unwrap_or_else(|e| {
+            eprintln!("table3: cannot write profile {}: {e}", path.display());
             std::process::exit(1);
         });
-        ms
-    } else {
-        measure_corpus_traced(&corpus, &cydra(), 6.0, threads, trace_dir.as_deref(), "")
-            .unwrap_or_else(|e| {
-                eprintln!("table3: cannot write traces: {e}");
-                std::process::exit(1);
-            })
-    };
+    }
 
     let stats = |f: &dyn Fn(&LoopMeasurement) -> f64, min: f64| -> DistributionStats {
         let v: Vec<f64> = ms.iter().map(f).collect();

@@ -23,33 +23,43 @@
 //! | `profile_report` | human-readable tables rendered from a `BENCH_<name>.json` profile snapshot |
 //! | `benchdiff` | compares two profile snapshots under per-phase thresholds; nonzero exit on regression |
 //!
-//! This library holds the shared machinery: [`measure_corpus_threads`]
-//! fans the modulo scheduler out over the std-only worker pool in
-//! [`pool`] and collects, per loop, every quantity the paper reports;
-//! [`corpus_jsonl`] renders a run as deterministic JSON lines. All the
-//! corpus binaries accept `--threads N` (default: one worker per core)
-//! and `--trace DIR`, which additionally writes one JSON-lines event
-//! trace per loop via [`measure_corpus_traced`] — byte-identical across
-//! thread counts, inspectable with `trace_report`. The corpus drivers
-//! (`corpus`, `optgap`, `table3`, `table4`) also accept `--profile FILE`,
-//! which measures every pipeline phase via [`profile`] and writes a
-//! versioned `BENCH_<name>.json` snapshot whose deterministic sections
-//! are byte-identical across thread counts; compare snapshots with
-//! `benchdiff` and render them with `profile_report`.
+//! This library holds the shared machinery. A [`Run`] names how a
+//! backend runs on one loop — the leaf backend, the BudgetRatio, the
+//! provers' work limit and an optional register-pressure limit — and
+//! there is one way to carry it out: [`measure`] schedules one corpus
+//! loop and collects every quantity the paper reports, and
+//! [`measure_corpus`] fans it out over the std-only worker pool in
+//! [`pool`]; [`corpus_jsonl`] renders a run as deterministic JSON lines.
+//! All the corpus binaries accept `--threads N` (default: one worker per
+//! core) and `--trace DIR`, which additionally writes one JSON-lines
+//! event trace per loop — byte-identical across thread counts,
+//! inspectable with `trace_report`. The corpus drivers (`corpus`,
+//! `optgap`, `table3`, `table4`) also accept `--profile FILE`, which
+//! files every pipeline phase's work into a [`MetricsRegistry`] and
+//! writes a versioned `BENCH_<name>.json` snapshot (see [`profile`])
+//! whose deterministic sections are byte-identical across thread counts;
+//! compare snapshots with `benchdiff` and render them with
+//! `profile_report`.
+
+use std::path::{Path, PathBuf};
 
 use ims_codegen::{allocate_rotating, lifetimes};
 use ims_core::{
-    height_r, list_schedule, BackendKind, Counters, NullObserver, Problem, SchedConfig,
-    SchedObserver, SchedOutcome, ScheduleError, Scheduler,
+    height_r, list_schedule, BackendKind, Counters, IiBounds, MiiInfo, NullObserver, Problem,
+    SchedConfig, SchedObserver, SchedOutcome, Schedule, ScheduleError, Scheduler,
 };
 use ims_deps::{back_substitute, build_problem, BuildOptions};
-use ims_exact::{schedule_exact, ExactConfig};
+use ims_exact::{schedule_exact_profiled, ExactConfig};
 use ims_graph::sccs;
-use ims_sat::{schedule_sat, SatConfig};
+use ims_ir::LoopBody;
 use ims_loopgen::{Corpus, CorpusLoop, Profile};
 use ims_machine::MachineModel;
 use ims_press::{shapes_from_body, PressureModel, PressureObserver};
+use ims_prof::{phase, MetricsRegistry, NullSink, PhaseTimer, ProfSink};
+use ims_sat::{schedule_sat_profiled, SatConfig};
 use ims_trace::TraceWriter;
+
+use profile::{flush_counters, profile_backend_tail, span_end, ProfObserver};
 
 pub mod micro;
 pub mod profile;
@@ -67,12 +77,6 @@ pub use ims_serve::pool;
 /// recomputation and memo probe — costs ~2 µs in a release build.
 pub const NODES_PER_MS: u64 = 500;
 
-/// The node budget equivalent of a `--deadline-ms` value (`None` —
-/// unlimited — for 0).
-pub fn node_budget_for_ms(deadline_ms: u64) -> Option<u64> {
-    (deadline_ms > 0).then(|| deadline_ms.saturating_mul(NODES_PER_MS))
-}
-
 /// [`NODES_PER_MS`]'s counterpart for the SAT backend: `--deadline-ms N`
 /// becomes a CDCL conflict budget of `N × CONFLICTS_PER_MS`. A conflict —
 /// analysis, clause learning, backjumping, and the propagation leading to
@@ -80,10 +84,16 @@ pub fn node_budget_for_ms(deadline_ms: u64) -> Option<u64> {
 /// magnitude more than a branch-and-bound node.
 pub const CONFLICTS_PER_MS: u64 = 50;
 
-/// The conflict budget equivalent of a `--deadline-ms` value (`None` —
-/// unlimited — for 0).
-pub fn conflict_budget_for_ms(deadline_ms: u64) -> Option<u64> {
-    (deadline_ms > 0).then(|| deadline_ms.saturating_mul(CONFLICTS_PER_MS))
+/// The work limit equivalent of a `--deadline-ms` value for `backend`:
+/// [`CONFLICTS_PER_MS`] conflicts per millisecond for `sat`,
+/// [`NODES_PER_MS`] nodes otherwise (the iterative backend ignores it).
+/// `None` — unlimited — for 0.
+pub fn work_limit_for_ms(backend: BackendKind, deadline_ms: u64) -> Option<u64> {
+    let per_ms = match backend {
+        BackendKind::Sat => CONFLICTS_PER_MS,
+        _ => NODES_PER_MS,
+    };
+    (deadline_ms > 0).then(|| deadline_ms.saturating_mul(per_ms))
 }
 
 /// What the exact backend proved about one loop (absent from
@@ -185,206 +195,281 @@ impl LoopMeasurement {
     }
 }
 
-/// Schedules one corpus loop and extracts every measurement.
+/// How one backend runs on one loop: every option the measurement paths
+/// vary. The corpus drivers build one `Run` from their flags and hand it
+/// to [`measure_corpus`] (or [`measure`] per loop).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Run {
+    /// The leaf backend that schedules each loop.
+    pub backend: BackendKind,
+    /// BudgetRatio of the iterative scheduler: the scheduler itself for
+    /// `ims`, the provers' upper-bound run for `exact` and `sat`.
+    pub budget_ratio: f64,
+    /// The provers' work budget — branch-and-bound nodes for `exact`,
+    /// CDCL conflicts for `sat`; `None` is unlimited. Both are
+    /// deterministic, unlike a wall-clock deadline, so output stays
+    /// byte-identical across thread counts. The iterative backend
+    /// ignores it.
+    pub work_limit: Option<u64>,
+    /// Register-file capacity to schedule against (iterative backend
+    /// only): a [`PressureObserver`] vetoes placements and rejects
+    /// attempts whose MaxLive or rotating allocation exceeds it. `None`
+    /// schedules pressure-blind.
+    pub pressure_limit: Option<u32>,
+}
+
+impl Run {
+    /// `backend` at `budget_ratio`, with no work limit and no pressure
+    /// limit.
+    pub fn new(backend: BackendKind, budget_ratio: f64) -> Run {
+        Run {
+            backend,
+            budget_ratio,
+            work_limit: None,
+            pressure_limit: None,
+        }
+    }
+
+    /// The paper's iterative scheduler at `budget_ratio`.
+    pub fn ims(budget_ratio: f64) -> Run {
+        Run::new(BackendKind::Ims, budget_ratio)
+    }
+
+    /// Sets the provers' work budget (`None` for unlimited).
+    pub fn work_limit(mut self, work_limit: Option<u64>) -> Run {
+        self.work_limit = work_limit;
+        self
+    }
+
+    /// Sets the register-pressure limit (`None` for pressure-blind).
+    pub fn pressure_limit(mut self, pressure_limit: Option<u32>) -> Run {
+        self.pressure_limit = pressure_limit;
+        self
+    }
+
+    /// The wall-clock phase a profile files this run's scheduling under.
+    pub fn wall_phase(&self) -> &'static str {
+        match self.backend {
+            BackendKind::Ims => phase::WALL_SCHED,
+            BackendKind::Exact => phase::WALL_EXACT,
+            BackendKind::Sat => phase::WALL_SAT,
+        }
+    }
+
+    /// Schedules an already-built loop with this run's backend — the
+    /// scheduling step of [`measure`], for drivers (`optgap`) that run
+    /// several backends on one problem.
+    ///
+    /// `observer` sees the backend's events. With a `profile`, the
+    /// backend's deterministic work goes there too: the iterative
+    /// scheduler's step histograms, attempts and [`Counters`] (plus the
+    /// `press.*` counts under a pressure limit), or the provers' `exact.*`
+    /// / `sat.*` statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the backend fails to schedule (impossible for
+    /// well-formed corpus loops with the automatic II cap), or if a
+    /// pressure limit is set for a prover.
+    pub fn schedule<O: SchedObserver>(
+        &self,
+        body: &LoopBody,
+        problem: &Problem<'_>,
+        observer: &mut O,
+        profile: Option<&mut MetricsRegistry>,
+    ) -> RunOutcome {
+        match profile {
+            Some(reg) => self.schedule_into(body, problem, observer, reg),
+            None => self.schedule_into(body, problem, observer, &mut NullSink),
+        }
+    }
+
+    /// [`Run::schedule`], monomorphized per profile sink so the
+    /// unprofiled path compiles to the plain scheduler.
+    fn schedule_into<O: SchedObserver, P: ProfSink>(
+        &self,
+        body: &LoopBody,
+        problem: &Problem<'_>,
+        observer: &mut O,
+        prof: &mut P,
+    ) -> RunOutcome {
+        const ALWAYS: &str = "corpus loops always schedule under the automatic II cap";
+        assert!(
+            self.pressure_limit.is_none() || self.backend == BackendKind::Ims,
+            "only the iterative backend schedules under a pressure limit"
+        );
+        let heuristic = SchedConfig::with_budget_ratio(self.budget_ratio);
+        match self.backend {
+            BackendKind::Ims => {
+                let mut observer = ProfObserver::new(observer, &mut *prof);
+                let (outcome, press) = match self.pressure_limit {
+                    None => {
+                        let outcome = Scheduler::new(problem)
+                            .config(heuristic)
+                            .observer(&mut observer)
+                            .run()
+                            .expect(ALWAYS);
+                        (outcome, None)
+                    }
+                    Some(limit) => {
+                        let run = schedule_pressure(body, problem, heuristic, limit, &mut observer);
+                        prof.count(phase::PRESS_MAXLIVE_UPDATES, run.updates);
+                        prof.count(phase::PRESS_REJECTS, run.rejects);
+                        prof.count(phase::PRESS_II_BUMPS, run.ii_bumps);
+                        (run.outcome, Some(run.press))
+                    }
+                };
+                prof.count(phase::SCHED_STEPS, outcome.stats.total_steps());
+                flush_counters(&outcome.stats.counters, prof);
+                RunOutcome {
+                    mii: outcome.mii,
+                    final_steps: outcome.stats.final_steps(),
+                    total_steps: outcome.stats.total_steps(),
+                    counters: outcome.stats.counters,
+                    exact: None,
+                    press,
+                    schedule: outcome.schedule,
+                }
+            }
+            BackendKind::Exact => {
+                let config = ExactConfig::new().heuristic(heuristic).node_limit(self.work_limit);
+                let out = schedule_exact_profiled(problem, &config, observer, prof).expect(ALWAYS);
+                RunOutcome::proved(out.schedule, out.mii, out.bounds, out.nodes, out.limit_hit)
+            }
+            BackendKind::Sat => {
+                let config = SatConfig::new().heuristic(heuristic).conflict_limit(self.work_limit);
+                let out = schedule_sat_profiled(problem, &config, observer, prof).expect(ALWAYS);
+                RunOutcome::proved(out.schedule, out.mii, out.bounds, out.conflicts, out.limit_hit)
+            }
+        }
+    }
+}
+
+/// What [`Run::schedule`] produced: the schedule plus the backend's
+/// share of a [`LoopMeasurement`].
+#[derive(Debug, Clone)]
+pub struct RunOutcome {
+    /// The reported schedule (under a pressure limit that cannot be met,
+    /// the pressure-blind fallback).
+    pub schedule: Schedule,
+    /// The MII bounds.
+    pub mii: MiiInfo,
+    /// Steps of the successful attempt: operation-scheduling steps for
+    /// the iterative backend, the provers' work otherwise.
+    pub final_steps: u64,
+    /// Steps across all attempts (the provers count their work once).
+    pub total_steps: u64,
+    /// The iterative scheduler's Table 4 counters; zero for the provers.
+    pub counters: Counters,
+    /// The provers' bounds; `None` for the iterative backend.
+    pub exact: Option<ExactInfo>,
+    /// The pressure verdict; `None` without a pressure limit.
+    pub press: Option<PressInfo>,
+}
+
+impl RunOutcome {
+    /// A prover's outcome, whose `work` is both its step counts.
+    fn proved(
+        schedule: Schedule,
+        mii: MiiInfo,
+        bounds: IiBounds,
+        work: u64,
+        limit_hit: bool,
+    ) -> Self {
+        RunOutcome {
+            schedule,
+            mii,
+            final_steps: work,
+            total_steps: work,
+            counters: Counters::new(),
+            exact: Some(ExactInfo {
+                proved_lb: bounds.proved_lb,
+                best_ub: bounds.best_ub,
+                nodes: work,
+                limit_hit,
+            }),
+            press: None,
+        }
+    }
+}
+
+/// Schedules one corpus loop with `run` and extracts every measurement.
+///
+/// The loop is preprocessed as the paper's corpus was, built into a
+/// [`Problem`], and scheduled by [`Run::schedule`] with `observer`
+/// watching (pass [`NullObserver`] to watch nothing — the hook then
+/// costs nothing). With a `profile`, every pipeline phase's
+/// deterministic work and wall time is filed there as well, and the
+/// loop is additionally lowered by modulo variable expansion and run on
+/// the VLIW simulator so `codegen.*` and `vliw.sim.*` describe real code.
+/// Profiling never changes the returned measurement.
 ///
 /// # Panics
 ///
-/// Panics if the scheduler fails to find any schedule (impossible for
-/// well-formed corpus loops with the automatic II cap).
-pub fn measure_loop(
+/// As [`Run::schedule`].
+pub fn measure<O: SchedObserver>(
     l: &CorpusLoop,
     machine: &MachineModel,
-    budget_ratio: f64,
-) -> LoopMeasurement {
-    measure_loop_observed(l, machine, budget_ratio, &mut NullObserver)
-}
-
-/// [`measure_loop`] with a caller-supplied [`SchedObserver`] watching the
-/// scheduler's decisions. `measure_loop` is exactly this with
-/// [`NullObserver`], so the untraced path pays nothing for the hook.
-pub fn measure_loop_observed<O: SchedObserver>(
-    l: &CorpusLoop,
-    machine: &MachineModel,
-    budget_ratio: f64,
+    run: &Run,
     observer: &mut O,
+    mut profile: Option<&mut MetricsRegistry>,
 ) -> LoopMeasurement {
+    let whole = PhaseTimer::start(phase::WALL_LOOP);
+
     // The paper's corpus was dumped "after load-store elimination,
     // recurrence back-substitution and IF-conversion" (§4.1); apply the
     // same preprocessing.
+    let t = PhaseTimer::start(phase::WALL_BUILD);
     let body = back_substitute(&l.body, machine);
     let problem = build_problem(&body, machine, &BuildOptions::default());
+    span_end(t, profile.as_deref_mut());
+
+    let t = PhaseTimer::start(run.wall_phase());
     let t0 = std::time::Instant::now();
-    let outcome: SchedOutcome = Scheduler::new(&problem)
-        .config(SchedConfig::new().budget_ratio(budget_ratio))
-        .observer(observer)
-        .run()
-        .expect("corpus loops always schedule under the automatic II cap");
+    let out = run.schedule(&body, &problem, observer, profile.as_deref_mut());
     let wall_ns = t0.elapsed().as_nanos() as u64;
+    span_end(t, profile.as_deref_mut());
 
-    let mut m = finish_measurement(&problem, l, outcome.mii.res_mii, outcome.mii.rec_mii,
-        outcome.mii.mii, &outcome.schedule);
-    m.final_steps = outcome.stats.final_steps();
-    m.total_steps = outcome.stats.total_steps();
-    m.counters = outcome.stats.counters;
-    m.wall_ns = wall_ns;
-    m
-}
-
-/// Schedules one corpus loop with the **exact** backend: the iterative
-/// scheduler provides the upper bound, then branch-and-bound decides
-/// every smaller II under `config`'s node budget. `final_steps` /
-/// `total_steps` count branch-and-bound nodes, the Table 4 counters are
-/// zero, and [`LoopMeasurement::exact`] carries the proven bounds.
-///
-/// # Panics
-///
-/// Panics if the internal iterative run fails (impossible for well-formed
-/// corpus loops with the automatic II cap).
-pub fn measure_loop_exact(
-    l: &CorpusLoop,
-    machine: &MachineModel,
-    config: &ExactConfig,
-) -> LoopMeasurement {
-    let body = back_substitute(&l.body, machine);
-    let problem = build_problem(&body, machine, &BuildOptions::default());
-    let t0 = std::time::Instant::now();
-    let out = schedule_exact(&problem, config)
-        .expect("corpus loops always schedule under the automatic II cap");
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-
-    let mut m = finish_measurement(&problem, l, out.mii.res_mii, out.mii.rec_mii, out.mii.mii,
-        &out.schedule);
-    m.final_steps = out.nodes;
-    m.total_steps = out.nodes;
-    m.wall_ns = wall_ns;
-    m.exact = Some(ExactInfo {
-        proved_lb: out.bounds.proved_lb,
-        best_ub: out.bounds.best_ub,
-        nodes: out.nodes,
-        limit_hit: out.limit_hit,
-    });
-    m
-}
-
-/// Schedules one corpus loop with the **SAT** backend: the iterative
-/// scheduler provides the upper bound, then the CDCL encoding decides
-/// every smaller II under `config`'s conflict budget. `final_steps` /
-/// `total_steps` count CDCL conflicts, the Table 4 counters are zero,
-/// and [`LoopMeasurement::exact`] carries the proven bounds (with
-/// [`ExactInfo::nodes`] holding conflicts).
-///
-/// # Panics
-///
-/// Panics if the internal iterative run fails (impossible for well-formed
-/// corpus loops with the automatic II cap).
-pub fn measure_loop_sat(
-    l: &CorpusLoop,
-    machine: &MachineModel,
-    config: &SatConfig,
-) -> LoopMeasurement {
-    let body = back_substitute(&l.body, machine);
-    let problem = build_problem(&body, machine, &BuildOptions::default());
-    let t0 = std::time::Instant::now();
-    let out = schedule_sat(&problem, config)
-        .expect("corpus loops always schedule under the automatic II cap");
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-
-    let mut m = finish_measurement(&problem, l, out.mii.res_mii, out.mii.rec_mii, out.mii.mii,
-        &out.schedule);
-    m.final_steps = out.conflicts;
-    m.total_steps = out.conflicts;
-    m.wall_ns = wall_ns;
-    m.exact = Some(ExactInfo {
-        proved_lb: out.bounds.proved_lb,
-        best_ub: out.bounds.best_ub,
-        nodes: out.conflicts,
-        limit_hit: out.limit_hit,
-    });
-    m
-}
-
-/// Schedules one corpus loop **register-pressure-aware**: a
-/// [`PressureObserver`] vetoes placements and rejects attempts whose
-/// MaxLive (or rotating allocation) exceeds `limit`, so an accepted
-/// schedule is known to fit a rotating file of `limit` registers.
-///
-/// When even the II cap cannot satisfy the limit
-/// ([`ScheduleError::PressureInfeasible`]), the measurement falls back to
-/// the pressure-blind schedule — the line still reports an II — with
-/// [`PressInfo::ok`] `false` and the blind schedule's (over-limit)
-/// pressure in `max_live`/`rot_size`.
-///
-/// # Panics
-///
-/// Panics if the pressure-blind fallback itself fails to schedule
-/// (impossible for well-formed corpus loops with the automatic II cap).
-pub fn measure_loop_pressure(
-    l: &CorpusLoop,
-    machine: &MachineModel,
-    budget_ratio: f64,
-    limit: u32,
-) -> LoopMeasurement {
-    measure_loop_pressure_observed(l, machine, budget_ratio, limit, &mut NullObserver)
-}
-
-/// [`measure_loop_pressure`] with an extra caller-supplied observer (the
-/// profiling wrapper) watching the same run as the pressure observer.
-pub fn measure_loop_pressure_observed<O: SchedObserver>(
-    l: &CorpusLoop,
-    machine: &MachineModel,
-    budget_ratio: f64,
-    limit: u32,
-    extra: &mut O,
-) -> LoopMeasurement {
-    let body = back_substitute(&l.body, machine);
-    let problem = build_problem(&body, machine, &BuildOptions::default());
-    let t0 = std::time::Instant::now();
-    let run = schedule_pressure(&body, &problem, budget_ratio, limit, extra);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-
-    let mut m = finish_measurement(&problem, l, run.outcome.mii.res_mii,
-        run.outcome.mii.rec_mii, run.outcome.mii.mii, &run.outcome.schedule);
-    m.final_steps = run.outcome.stats.final_steps();
-    m.total_steps = run.outcome.stats.total_steps();
-    m.counters = run.outcome.stats.counters;
-    m.wall_ns = wall_ns;
-    m.press = Some(run.press);
+    let m = finish_measurement(&problem, l, &out, wall_ns);
+    if let Some(reg) = profile {
+        reg.add(phase::CORPUS_LOOPS, 1);
+        reg.add(phase::CORPUS_OPS, problem.num_ops() as u64);
+        profile_backend_tail(&body, &problem, &out.schedule, reg);
+        whole.finish(reg);
+    }
     m
 }
 
 /// The outcome of one pressure-aware scheduling run: the reported
 /// schedule (the pressure-aware one, or the pressure-blind fallback on
 /// infeasibility), its pressure verdict, and the `press.*` work counts.
-pub(crate) struct PressRun {
-    pub(crate) outcome: SchedOutcome,
-    pub(crate) press: PressInfo,
+struct PressRun {
+    outcome: SchedOutcome,
+    press: PressInfo,
     /// `press.maxlive.updates` — lifetime-interval updates performed.
-    pub(crate) updates: u64,
+    updates: u64,
     /// `press.rejects` — placements vetoed over the limit.
-    pub(crate) rejects: u64,
+    rejects: u64,
     /// `press.ii_bumps` — completed attempts rejected for pressure.
-    pub(crate) ii_bumps: u64,
+    ii_bumps: u64,
 }
 
-/// The shared core of the pressure-aware measurement paths (plain and
-/// profiled): schedules `problem` under `limit` with a
-/// [`PressureObserver`] (and `extra` in tandem), falling back to the
-/// pressure-blind schedule — flagged `ok: false`, with its over-limit
-/// pressure reported — on [`ScheduleError::PressureInfeasible`].
-pub(crate) fn schedule_pressure<O: SchedObserver>(
-    body: &ims_ir::LoopBody,
+/// Schedules `problem` under `limit` with a [`PressureObserver`] (and
+/// `extra` in tandem), so an accepted schedule is known to fit a
+/// rotating file of `limit` registers. When even the II cap cannot
+/// satisfy the limit ([`ScheduleError::PressureInfeasible`]), falls back
+/// to the pressure-blind schedule — flagged `ok: false`, with its
+/// over-limit pressure reported — so the measurement still has an II.
+fn schedule_pressure<O: SchedObserver>(
+    body: &LoopBody,
     problem: &Problem<'_>,
-    budget_ratio: f64,
+    config: SchedConfig,
     limit: u32,
     extra: &mut O,
 ) -> PressRun {
     let mut obs = PressureObserver::for_body(body, problem, limit);
     let result = Scheduler::new(problem)
-        .config(
-            SchedConfig::new()
-                .budget_ratio(budget_ratio)
-                .pressure_limit(limit),
-        )
+        .config(config.clone().pressure_limit(limit))
         .observer(Tandem(&mut obs, extra))
         .run();
     match result {
@@ -405,10 +490,8 @@ pub(crate) fn schedule_pressure<O: SchedObserver>(
             }
         }
         Err(ScheduleError::PressureInfeasible { .. }) => {
-            // Report the pressure-blind schedule so the measurement still
-            // has an II, flagged infeasible with its actual pressure.
             let outcome: SchedOutcome = Scheduler::new(problem)
-                .config(SchedConfig::new().budget_ratio(budget_ratio))
+                .config(config)
                 .observer(&mut *extra)
                 .run()
                 .expect("corpus loops always schedule under the automatic II cap");
@@ -437,20 +520,6 @@ pub(crate) fn schedule_pressure<O: SchedObserver>(
             panic!("corpus loops always schedule under the automatic II cap: {e}")
         }
     }
-}
-
-/// Fans [`measure_loop_pressure`] out over the worker pool; results in
-/// corpus order, byte-identical for every thread count.
-pub fn measure_corpus_pressure(
-    corpus: &Corpus,
-    machine: &MachineModel,
-    budget_ratio: f64,
-    limit: u32,
-    threads: usize,
-) -> Vec<LoopMeasurement> {
-    pool::par_map(&corpus.loops, threads, |_, l| {
-        measure_loop_pressure(l, machine, budget_ratio, limit)
-    })
 }
 
 /// Broadcasts every scheduler event to two observers. The consulted
@@ -515,16 +584,14 @@ impl<A: SchedObserver, B: SchedObserver> SchedObserver for Tandem<'_, A, B> {
 }
 
 /// The backend-independent tail of a loop measurement: SCC statistics and
-/// the schedule-length lower bound, packaged with the schedule's
-/// quantities. Work counters are left zero for the caller to fill.
+/// the schedule-length lower bound, packaged with the run's quantities.
 fn finish_measurement(
     problem: &Problem<'_>,
     l: &CorpusLoop,
-    res_mii: i64,
-    rec_mii: i64,
-    mii: i64,
-    schedule: &ims_core::Schedule,
+    out: &RunOutcome,
+    wall_ns: u64,
 ) -> LoopMeasurement {
+    let schedule = &out.schedule;
     // SCC statistics over real operations only (START/STOP would otherwise
     // show up as two extra trivial components).
     let mut scc_work = 0u64;
@@ -555,134 +622,93 @@ fn finish_measurement(
     LoopMeasurement {
         n_ops: problem.num_ops(),
         n_edges: problem.num_real_edges(),
-        res_mii,
-        rec_mii,
-        mii,
+        res_mii: out.mii.res_mii,
+        rec_mii: out.mii.rec_mii,
+        mii: out.mii.mii,
         ii: schedule.ii,
         schedule_length: schedule.length,
         schedule_length_lower: min_dist_bound.max(list_len),
         non_trivial_sccs,
         scc_sizes,
-        final_steps: 0,
-        total_steps: 0,
-        counters: Counters::new(),
+        final_steps: out.final_steps,
+        total_steps: out.total_steps,
+        counters: out.counters,
         profile: l.profile,
-        wall_ns: 0,
-        exact: None,
-        press: None,
+        wall_ns,
+        exact: out.exact,
+        press: out.press,
     }
 }
 
-/// Runs the scheduler over a whole corpus, sequentially (the
-/// deterministic baseline; see [`measure_corpus_threads`]).
+/// Measures every loop of `corpus` with `run` on `threads` worker
+/// threads.
+///
+/// Each loop is an independent scheduling problem, so the corpus fans
+/// out over the std-only worker pool in [`pool`]; results come back in
+/// corpus order, so the returned measurements — and anything rendered
+/// from them, e.g. [`corpus_jsonl`] — are identical for every thread
+/// count.
+///
+/// With `trace = Some((dir, prefix))`, each worker also streams its
+/// loop's events into an in-memory [`TraceWriter`], and after the
+/// in-order merge the traces are written as
+/// `<prefix>loop_<index:05>.jsonl` under `dir` (created if missing).
+/// The events carry no timestamps or thread identity, so the trace
+/// directory is byte-identical for every `threads` value too.
+///
+/// With a `profile`, each loop is measured into its own registry (see
+/// [`measure`]) and the registries are merged into `profile` in corpus
+/// order, so its deterministic sections are independent of `threads`;
+/// only the wall section varies. Measurements and traces are
+/// byte-identical with and without profiling.
+///
+/// # Errors
+///
+/// An I/O error creating the trace directory or writing a trace file.
 pub fn measure_corpus(
     corpus: &Corpus,
     machine: &MachineModel,
-    budget_ratio: f64,
-) -> Vec<LoopMeasurement> {
-    measure_corpus_threads(corpus, machine, budget_ratio, 1)
-}
-
-/// Runs the scheduler over a whole corpus on `threads` worker threads.
-///
-/// Each loop is an independent scheduling problem, so the corpus fans out
-/// over the std-only worker pool in [`pool`]; results come back in corpus
-/// order, so the returned measurements — and anything rendered from them,
-/// e.g. [`corpus_jsonl`] — are identical for every thread count.
-pub fn measure_corpus_threads(
-    corpus: &Corpus,
-    machine: &MachineModel,
-    budget_ratio: f64,
+    run: &Run,
     threads: usize,
-) -> Vec<LoopMeasurement> {
-    pool::par_map(&corpus.loops, threads, |_, l| {
-        measure_loop(l, machine, budget_ratio)
-    })
-}
-
-/// [`measure_corpus_threads`] with a selectable backend. The iterative
-/// backend ignores `work_limit`; the exact backends ignore nothing —
-/// `budget_ratio` configures their internal heuristic run and
-/// `work_limit` their search budget (branch-and-bound nodes for `exact`,
-/// CDCL conflicts for `sat` — both deterministic, unlike a wall-clock
-/// deadline, so stdout stays byte-identical across thread counts).
-pub fn measure_corpus_backend(
-    corpus: &Corpus,
-    machine: &MachineModel,
-    backend: BackendKind,
-    budget_ratio: f64,
-    work_limit: Option<u64>,
-    threads: usize,
-) -> Vec<LoopMeasurement> {
-    match backend {
-        BackendKind::Ims => measure_corpus_threads(corpus, machine, budget_ratio, threads),
-        BackendKind::Exact => {
-            let config = ExactConfig::new()
-                .heuristic(SchedConfig::with_budget_ratio(budget_ratio))
-                .node_limit(work_limit);
-            pool::par_map(&corpus.loops, threads, |_, l| {
-                measure_loop_exact(l, machine, &config)
-            })
-        }
-        BackendKind::Sat => {
-            let config = SatConfig::new()
-                .heuristic(SchedConfig::with_budget_ratio(budget_ratio))
-                .conflict_limit(work_limit);
-            pool::par_map(&corpus.loops, threads, |_, l| {
-                measure_loop_sat(l, machine, &config)
-            })
-        }
-    }
-}
-
-/// [`measure_corpus_threads`] plus per-loop event traces.
-///
-/// When `trace_dir` is `None` this is exactly the untraced run. Otherwise
-/// each worker streams its loop's events into an in-memory
-/// [`TraceWriter`], and after the in-order merge the traces are written
-/// as `<prefix>loop_<index:05>.jsonl` under `trace_dir` (created if
-/// missing). Because the events carry no timestamps or thread identity
-/// and the files are named by corpus index, the trace directory is
-/// byte-identical for every `threads` value — `scripts/verify.sh` diffs
-/// a slice at `--threads 1` vs `--threads 4` on every run.
-pub fn measure_corpus_traced(
-    corpus: &Corpus,
-    machine: &MachineModel,
-    budget_ratio: f64,
-    threads: usize,
-    trace_dir: Option<&std::path::Path>,
-    prefix: &str,
+    trace: Option<(&Path, &str)>,
+    mut profile: Option<&mut MetricsRegistry>,
 ) -> std::io::Result<Vec<LoopMeasurement>> {
-    let Some(dir) = trace_dir else {
-        return Ok(measure_corpus_threads(corpus, machine, budget_ratio, threads));
-    };
-    std::fs::create_dir_all(dir)?;
-    let traced = pool::par_map(&corpus.loops, threads, |_, l| {
-        let mut tracer = TraceWriter::in_memory();
-        let m = measure_loop_observed(l, machine, budget_ratio, &mut tracer);
-        (m, tracer.into_string())
+    if let Some((dir, _)) = trace {
+        std::fs::create_dir_all(dir)?;
+    }
+    let profiling = profile.is_some();
+    let per_loop = pool::par_map(&corpus.loops, threads, |_, l| {
+        let mut reg = profiling.then(MetricsRegistry::new);
+        let (m, text) = match trace {
+            Some(_) => {
+                let mut tracer = TraceWriter::in_memory();
+                let m = measure(l, machine, run, &mut tracer, reg.as_mut());
+                (m, Some(tracer.into_string()))
+            }
+            None => (measure(l, machine, run, &mut NullObserver, reg.as_mut()), None),
+        };
+        (m, text, reg)
     });
-    let mut ms = Vec::with_capacity(traced.len());
-    for (index, (m, trace)) in traced.into_iter().enumerate() {
-        std::fs::write(dir.join(format!("{prefix}loop_{index:05}.jsonl")), trace)?;
+
+    let mut ms = Vec::with_capacity(per_loop.len());
+    for (index, (m, text, reg)) in per_loop.into_iter().enumerate() {
+        if let (Some((dir, prefix)), Some(text)) = (trace, text) {
+            std::fs::write(dir.join(format!("{prefix}loop_{index:05}.jsonl")), text)?;
+        }
+        if let (Some(total), Some(reg)) = (profile.as_deref_mut(), reg) {
+            total.merge(&reg);
+        }
         ms.push(m);
     }
     Ok(ms)
 }
 
-/// Extracts `--trace DIR` (or `--trace=DIR`) from a raw argv slice, the
-/// way the corpus binaries share [`pool::parse_threads`].
-pub fn parse_trace_dir(args: &[String]) -> Option<std::path::PathBuf> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--trace" {
-            return it.next().map(std::path::PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix("--trace=") {
-            return Some(std::path::PathBuf::from(v));
-        }
-    }
-    None
+/// Reads `--trace DIR` (or `--trace=DIR`) from a raw argv slice; `None`
+/// when the flag is absent. A `--trace` with no directory after it exits
+/// with status 2 and a usage line, like every driver flag
+/// ([`pool::flag_or_exit`]).
+pub fn parse_trace_dir(args: &[String]) -> Option<PathBuf> {
+    pool::flag_or_exit(args, "--trace", "usage: --trace DIR")
 }
 
 /// Renders one corpus loop's measurement as a deterministic JSON line:
@@ -837,10 +863,19 @@ mod tests {
     use ims_loopgen::corpus_of_size;
     use ims_machine::cydra;
 
+    fn measure_all(
+        corpus: &Corpus,
+        machine: &MachineModel,
+        run: &Run,
+        threads: usize,
+    ) -> Vec<LoopMeasurement> {
+        measure_corpus(corpus, machine, run, threads, None, None).expect("no trace dir, no I/O")
+    }
+
     #[test]
     fn small_corpus_measures_cleanly() {
         let corpus = corpus_of_size(5, 40);
-        let ms = measure_corpus(&corpus, &cydra(), 6.0);
+        let ms = measure_all(&corpus, &cydra(), &Run::ims(6.0), 1);
         assert_eq!(ms.len(), 40);
         for m in &ms {
             assert!(m.ii >= m.mii, "II below MII");
@@ -856,7 +891,7 @@ mod tests {
     #[test]
     fn figure6_aggregates_are_sane() {
         let corpus = corpus_of_size(6, 30);
-        let ms = measure_corpus(&corpus, &cydra(), 6.0);
+        let ms = measure_all(&corpus, &cydra(), &Run::ims(6.0), 1);
         let (dilation, ineff) = aggregate_figure6(&ms);
         assert!(dilation >= 0.0);
         assert!(ineff >= 1.0, "each op is scheduled at least once: {ineff}");
@@ -866,9 +901,9 @@ mod tests {
     fn exact_backend_measurements_carry_bounds() {
         let corpus = corpus_of_size(5, 12);
         let machine = cydra();
-        let ims = measure_corpus_backend(&corpus, &machine, BackendKind::Ims, 6.0, None, 2);
-        let exact =
-            measure_corpus_backend(&corpus, &machine, BackendKind::Exact, 6.0, Some(200_000), 2);
+        let ims = measure_all(&corpus, &machine, &Run::ims(6.0), 2);
+        let run = Run::new(BackendKind::Exact, 6.0).work_limit(Some(200_000));
+        let exact = measure_all(&corpus, &machine, &run, 2);
         for (i, e) in ims.iter().zip(&exact) {
             assert!(i.exact.is_none());
             let b = e.exact.expect("exact measurements carry bounds");
@@ -901,10 +936,8 @@ mod tests {
         let corpus = corpus_of_size(9, 12);
         let machine = ims_machine::cydra_rf(16);
         let limit = machine.register_file().expect("cydra_rf declares a file");
-        let blind = measure_corpus_threads(&corpus, &machine, 6.0, 2);
-        let aware = pool::par_map(&corpus.loops, 2, |_, l| {
-            measure_loop_pressure(l, &machine, 6.0, limit)
-        });
+        let blind = measure_all(&corpus, &machine, &Run::ims(6.0), 2);
+        let aware = measure_all(&corpus, &machine, &Run::ims(6.0).pressure_limit(Some(limit)), 2);
         let mut fits = 0;
         for (b, a) in blind.iter().zip(&aware) {
             assert!(b.press.is_none());
@@ -931,18 +964,27 @@ mod tests {
     fn pressure_corpus_is_thread_invariant() {
         let corpus = corpus_of_size(10, 10);
         let machine = ims_machine::cydra_rf(12);
-        let one = measure_corpus_pressure(&corpus, &machine, 6.0, 12, 1);
-        let four = measure_corpus_pressure(&corpus, &machine, 6.0, 12, 4);
+        let run = Run::ims(6.0).pressure_limit(Some(12));
+        let one = measure_all(&corpus, &machine, &run, 1);
+        let four = measure_all(&corpus, &machine, &run, 4);
         assert_eq!(corpus_jsonl(&one), corpus_jsonl(&four));
     }
 
     #[test]
     fn tighter_budget_never_reduces_ii() {
         let corpus = corpus_of_size(7, 15);
-        let gen = measure_corpus(&corpus, &cydra(), 6.0);
-        let tight = measure_corpus(&corpus, &cydra(), 1.0);
+        let gen = measure_all(&corpus, &cydra(), &Run::ims(6.0), 1);
+        let tight = measure_all(&corpus, &cydra(), &Run::ims(1.0), 1);
         for (g, t) in gen.iter().zip(&tight) {
             assert!(t.ii >= g.ii, "a tighter budget cannot improve the II");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "only the iterative backend")]
+    fn provers_reject_a_pressure_limit() {
+        let corpus = corpus_of_size(5, 1);
+        let run = Run::new(BackendKind::Exact, 6.0).pressure_limit(Some(16));
+        measure_all(&corpus, &ims_machine::cydra_rf(16), &run, 1);
     }
 }

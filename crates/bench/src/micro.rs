@@ -168,22 +168,21 @@ pub fn mii_benches(spec: &BenchSpec) -> Vec<String> {
 /// identical on every line, the pool's determinism guarantee in bench
 /// form. Returns one JSON line per thread count.
 pub fn corpus_scaling_benches(spec: &BenchSpec) -> Vec<String> {
-    use crate::{measure_corpus_threads, LoopMeasurement};
+    use crate::{measure_corpus, LoopMeasurement, Run};
     use ims_loopgen::corpus_of_size;
 
     let machine = cydra();
     let corpus = corpus_of_size(0xC4D5, 96);
+    let measure_all = |corpus: &ims_loopgen::Corpus, threads| {
+        measure_corpus(corpus, &machine, &Run::ims(2.0), threads, None, None)
+            .expect("no trace dir, no I/O")
+    };
     let mut lines = Vec::new();
     for &threads in &[1usize, 2, 4, 8] {
         let result = run(&format!("corpus/threads_{threads}"), *spec, || {
-            black_box(measure_corpus_threads(
-                black_box(&corpus),
-                &machine,
-                2.0,
-                threads,
-            ));
+            black_box(measure_all(black_box(&corpus), threads));
         });
-        let ms: Vec<LoopMeasurement> = measure_corpus_threads(&corpus, &machine, 2.0, threads);
+        let ms: Vec<LoopMeasurement> = measure_all(&corpus, threads);
         let steps: u64 = ms.iter().map(|m| m.total_steps).sum();
         let evictions: u64 = ms.iter().map(|m| m.counters.evictions).sum();
         lines.push(result.json_line(&[

@@ -188,6 +188,36 @@ fn drivers_reject_malformed_threads_values() {
 }
 
 #[test]
+fn drivers_reject_malformed_numeric_and_path_flags() {
+    // Every value flag is strict: a malformed number or a flag left
+    // without its value exits 2 with the driver's usage line, never a
+    // silent fallback (e.g. `--loops abc` scheduling the whole corpus).
+    let cases: &[(&str, &[&str], &str)] = &[
+        (env!("CARGO_BIN_EXE_corpus"), &["--loops", "abc"], "--loops"),
+        (env!("CARGO_BIN_EXE_corpus"), &["--loops"], "--loops"),
+        (env!("CARGO_BIN_EXE_corpus"), &["--budget=six"], "--budget"),
+        (env!("CARGO_BIN_EXE_corpus"), &["--seed", "-1"], "--seed"),
+        (env!("CARGO_BIN_EXE_corpus"), &["--loops", "1", "--trace"], "--trace"),
+        (env!("CARGO_BIN_EXE_corpus"), &["--loops", "1", "--profile"], "--profile"),
+        (env!("CARGO_BIN_EXE_optgap"), &["--loops", "3x"], "--loops"),
+        (env!("CARGO_BIN_EXE_optgap"), &["--deadline-ms=1.5"], "--deadline-ms"),
+        (env!("CARGO_BIN_EXE_optgap"), &["--loops", "1", "--trace"], "--trace"),
+        (env!("CARGO_BIN_EXE_explain"), &["--top", "x"], "--top"),
+        (env!("CARGO_BIN_EXE_explain"), &["--budget-ratio"], "--budget-ratio"),
+        (env!("CARGO_BIN_EXE_explain"), &["--loops", "1", "--from-trace"], "--from-trace"),
+        (env!("CARGO_BIN_EXE_table3"), &["--profile"], "--profile"),
+    ];
+    for &(bin, args, name) in cases {
+        let out = run(bin, args);
+        assert_eq!(code(&out), 2, "{bin} {args:?}");
+        let err = stderr(&out);
+        assert!(err.contains("usage:"), "{bin} {args:?} -> {err}");
+        assert!(err.contains(name), "{bin} {args:?} -> {err}");
+        assert!(out.stdout.is_empty(), "no partial output on a bad flag");
+    }
+}
+
+#[test]
 fn corpus_accepts_wellformed_threads() {
     let out = run(env!("CARGO_BIN_EXE_corpus"), &["--threads", "2", "--loops", "1"]);
     assert_eq!(code(&out), 0, "{}", stderr(&out));

@@ -1,13 +1,31 @@
 //! Profiled corpus measurement: identical measurements and traces, and
 //! thread-count-independent deterministic snapshot sections.
 
-use ims_bench::profile::measure_corpus_profiled;
-use ims_bench::{corpus_jsonl, measure_corpus_backend, measure_corpus_threads};
+use std::path::Path;
+
+use ims_bench::{corpus_jsonl, measure_corpus, LoopMeasurement, Run};
 use ims_core::BackendKind;
-use ims_loopgen::corpus_of_size;
-use ims_machine::cydra;
+use ims_loopgen::{corpus_of_size, Corpus};
+use ims_machine::{cydra, cydra_rf, MachineModel};
 use ims_prof::snapshot::{deterministic_section, render_snapshot};
-use ims_prof::phase;
+use ims_prof::{phase, MetricsRegistry};
+
+/// Measures `corpus` with `run`, plain (no profile) or into a fresh
+/// registry.
+fn measure(
+    corpus: &Corpus,
+    machine: &MachineModel,
+    run: &Run,
+    threads: usize,
+    trace: Option<&Path>,
+    profile: bool,
+) -> (Vec<LoopMeasurement>, MetricsRegistry) {
+    let mut reg = MetricsRegistry::new();
+    let trace = trace.map(|dir| (dir, ""));
+    let ms = measure_corpus(corpus, machine, run, threads, trace, profile.then_some(&mut reg))
+        .expect("trace I/O succeeds");
+    (ms, reg)
+}
 
 /// The acceptance gate of the profiler issue: a 60-loop profiled corpus
 /// run must produce (a) exactly the measurements of the unprofiled run
@@ -18,13 +36,10 @@ fn profiling_never_changes_measurements_and_is_thread_count_invariant() {
     let corpus = corpus_of_size(0xC4D5, 60);
     let machine = cydra();
 
-    let plain = measure_corpus_threads(&corpus, &machine, 6.0, 2);
-    let (m1, r1) =
-        measure_corpus_profiled(&corpus, &machine, BackendKind::Ims, 6.0, None, 1, None, "")
-            .expect("no trace dir, no I/O");
-    let (m4, r4) =
-        measure_corpus_profiled(&corpus, &machine, BackendKind::Ims, 6.0, None, 4, None, "")
-            .expect("no trace dir, no I/O");
+    let run = Run::ims(6.0);
+    let (plain, _) = measure(&corpus, &machine, &run, 2, None, false);
+    let (m1, r1) = measure(&corpus, &machine, &run, 1, None, true);
+    let (m4, r4) = measure(&corpus, &machine, &run, 4, None, true);
 
     assert_eq!(corpus_jsonl(&plain), corpus_jsonl(&m1), "profiling changed a measurement");
     assert_eq!(corpus_jsonl(&m1), corpus_jsonl(&m4));
@@ -64,33 +79,45 @@ fn profiling_never_changes_measurements_and_is_thread_count_invariant() {
     assert!(!d1.contains("total_ns"));
 }
 
+/// Profiling is invisible for every backend and mode a driver can run:
+/// the iterative scheduler, both provers, and the pressure-aware
+/// scheduler measure byte-identically with and without a profile, and
+/// each files its own deterministic work.
 #[test]
-fn exact_backend_profiling_matches_unprofiled_and_reports_search_work() {
+fn every_run_profiles_without_changing_measurements() {
     let corpus = corpus_of_size(5, 12);
-    let machine = cydra();
-    let node_limit = Some(200_000);
+    let runs = [
+        (Run::ims(6.0), cydra()),
+        (Run::new(BackendKind::Exact, 6.0).work_limit(Some(200_000)), cydra()),
+        (Run::new(BackendKind::Sat, 6.0).work_limit(Some(10_000)), cydra()),
+        (Run::ims(6.0).pressure_limit(Some(16)), cydra_rf(16)),
+    ];
+    for (run, machine) in runs {
+        let (plain, _) = measure(&corpus, &machine, &run, 2, None, false);
+        let (ms, reg) = measure(&corpus, &machine, &run, 2, None, true);
+        assert_eq!(corpus_jsonl(&plain), corpus_jsonl(&ms), "{run:?}");
+        assert_eq!(reg.counter(phase::CORPUS_LOOPS), corpus.loops.len() as u64, "{run:?}");
+        // Every profiled run also lowers and simulates each loop.
+        assert!(reg.counter(phase::CODEGEN_INSTS) > 0, "{run:?}");
+        assert!(reg.counter(phase::VLIW_SIM_CYCLES) > 0, "{run:?}");
 
-    let plain =
-        measure_corpus_backend(&corpus, &machine, BackendKind::Exact, 6.0, node_limit, 2);
-    let (ms, reg) = measure_corpus_profiled(
-        &corpus,
-        &machine,
-        BackendKind::Exact,
-        6.0,
-        node_limit,
-        2,
-        None,
-        "",
-    )
-    .expect("no trace dir, no I/O");
-
-    assert_eq!(corpus_jsonl(&plain), corpus_jsonl(&ms));
-    assert_eq!(reg.counter(phase::CORPUS_LOOPS), corpus.loops.len() as u64);
-    let nodes: u64 = ms.iter().map(|m| m.exact.unwrap().nodes).sum();
-    assert_eq!(reg.counter(phase::EXACT_NODES), nodes, "search nodes are all accounted for");
-    // The profiled run also lowers and simulates each loop.
-    assert!(reg.counter(phase::CODEGEN_INSTS) > 0);
-    assert!(reg.counter(phase::VLIW_SIM_CYCLES) > 0);
+        let work: u64 = ms.iter().map(|m| m.exact.map_or(0, |e| e.nodes)).sum();
+        match (run.backend, run.pressure_limit) {
+            (BackendKind::Exact, _) => {
+                assert_eq!(reg.counter(phase::EXACT_NODES), work, "search nodes accounted for");
+            }
+            (BackendKind::Sat, _) => {
+                assert_eq!(reg.counter(phase::SAT_CONFLICTS), work, "conflicts accounted for");
+            }
+            (BackendKind::Ims, Some(_)) => {
+                assert!(reg.counter(phase::PRESS_MAXLIVE_UPDATES) > 0);
+            }
+            (BackendKind::Ims, None) => {
+                let steps: u64 = ms.iter().map(|m| m.total_steps).sum();
+                assert_eq!(reg.counter(phase::SCHED_STEPS), steps);
+            }
+        }
+    }
 }
 
 #[test]
@@ -101,19 +128,9 @@ fn profiled_traces_are_byte_identical_to_unprofiled_traces() {
     let plain_dir = base.join("plain");
     let prof_dir = base.join("profiled");
 
-    ims_bench::measure_corpus_traced(&corpus, &machine, 6.0, 2, Some(&plain_dir), "")
-        .expect("writes traces");
-    measure_corpus_profiled(
-        &corpus,
-        &machine,
-        BackendKind::Ims,
-        6.0,
-        None,
-        2,
-        Some(&prof_dir),
-        "",
-    )
-    .expect("writes traces");
+    let run = Run::ims(6.0);
+    measure(&corpus, &machine, &run, 2, Some(&plain_dir), false);
+    measure(&corpus, &machine, &run, 2, Some(&prof_dir), true);
 
     let mut names: Vec<_> = std::fs::read_dir(&plain_dir)
         .unwrap()

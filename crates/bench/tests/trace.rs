@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use ims_bench::{corpus_jsonl, measure_corpus_threads, measure_corpus_traced, parse_trace_dir};
+use ims_bench::{corpus_jsonl, measure_corpus, parse_trace_dir, LoopMeasurement, Run};
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
 use ims_trace::{parse_trace, replay, TraceSummary};
@@ -39,15 +39,26 @@ fn read_traces(dir: &Path) -> BTreeMap<String, String> {
         .collect()
 }
 
+/// The iterative scheduler at BudgetRatio 6 over `corpus`, tracing into
+/// `dir` when given.
+fn measure_ims(
+    corpus: &ims_loopgen::Corpus,
+    machine: &ims_machine::MachineModel,
+    threads: usize,
+    dir: Option<&Path>,
+) -> Vec<LoopMeasurement> {
+    measure_corpus(corpus, machine, &Run::ims(6.0), threads, dir.map(|d| (d, "")), None)
+        .expect("traces written")
+}
+
 #[test]
 fn tracing_does_not_perturb_the_measurements() {
     let corpus = corpus_of_size(11, 25);
     let machine = cydra();
-    let untraced = measure_corpus_threads(&corpus, &machine, 6.0, 2);
+    let untraced = measure_ims(&corpus, &machine, 2, None);
 
     let tmp = TempDir::new("perturb");
-    let traced = measure_corpus_traced(&corpus, &machine, 6.0, 2, Some(&tmp.0), "")
-        .expect("traces written");
+    let traced = measure_ims(&corpus, &machine, 2, Some(&tmp.0));
 
     // corpus_jsonl covers every per-loop quantity including the Table 4
     // work counters, so byte-equality here proves the TraceWriter (and
@@ -63,8 +74,8 @@ fn trace_directory_is_identical_across_thread_counts() {
 
     let one = TempDir::new("threads1");
     let four = TempDir::new("threads4");
-    measure_corpus_traced(&corpus, &machine, 6.0, 1, Some(&one.0), "").expect("traces written");
-    measure_corpus_traced(&corpus, &machine, 6.0, 4, Some(&four.0), "").expect("traces written");
+    measure_ims(&corpus, &machine, 1, Some(&one.0));
+    measure_ims(&corpus, &machine, 4, Some(&four.0));
 
     let a = read_traces(&one.0);
     let b = read_traces(&four.0);
@@ -78,8 +89,7 @@ fn written_traces_replay_to_the_reported_schedules() {
     let machine = cydra();
 
     let tmp = TempDir::new("replay");
-    let ms = measure_corpus_traced(&corpus, &machine, 6.0, 2, Some(&tmp.0), "")
-        .expect("traces written");
+    let ms = measure_ims(&corpus, &machine, 2, Some(&tmp.0));
 
     let traces = read_traces(&tmp.0);
     for (index, m) in ms.iter().enumerate() {

@@ -12,14 +12,16 @@
 //! simulator work unchanged regardless of which backend produced the
 //! schedule, and harness code can be generic over the choice.
 //!
-//! Two implementations exist:
+//! Three implementations exist:
 //!
 //! * [`IterativeBackend`] (this crate) — the paper's algorithm, wrapping
 //!   [`modulo_schedule`](crate::modulo_schedule). Its bounds are one-sided:
 //!   `proved_lb` is the MII, `best_ub` the achieved II.
-//! * `ExactBackend` (the `ims-exact` crate) — branch-and-bound search
-//!   that either proves its schedule's II minimal or reports explicit
-//!   [`IiBounds`] when its deadline/node budget runs out.
+//! * `ExactBackend` (the `ims-exact` crate) and `SatBackend` (`ims-sat`)
+//!   — branch-and-bound and CDCL provers over the shared II walk
+//!   [`prove_min_ii`](crate::prove_min_ii), which either prove the
+//!   schedule's II minimal or report explicit [`IiBounds`] when their
+//!   work budget runs out.
 
 use crate::mii::MiiInfo;
 use crate::observe::{NullObserver, SchedObserver};
@@ -67,16 +69,6 @@ impl BackendKind {
     pub fn from_name(s: &str) -> Option<BackendKind> {
         BackendKind::ALL.into_iter().find(|k| k.name() == s)
     }
-
-    /// Parses a CLI/wire name produced by [`BackendKind::name`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "parse a full `BackendSpec` (FromStr) instead; use \
-                `BackendKind::from_name` where only a leaf name is legal"
-    )]
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        BackendKind::from_name(s)
-    }
 }
 
 impl std::fmt::Display for BackendKind {
@@ -90,7 +82,7 @@ impl std::fmt::Display for BackendKind {
 /// `proved_lb ≤ II* ≤ best_ub`, where `II*` is the smallest II at which
 /// any legal modulo schedule exists. A backend that proves optimality
 /// reports `proved_lb == best_ub`; a heuristic (or an exact search that
-/// hit its deadline) reports a gap.
+/// hit its work budget) reports a gap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IiBounds {
     /// Largest II proven to be a lower bound on `II*` (every smaller II
@@ -147,9 +139,10 @@ impl BackendOutcome {
 ///
 /// The trait is object-safe so harness code can pick a backend at
 /// runtime (`--backend SPEC`, resolved through a
-/// [`BackendRegistry`](crate::BackendRegistry)); the leaf
-/// implementations also expose richer generic inherent `*_observed`
-/// entry points for callers that know the concrete type.
+/// [`BackendRegistry`](crate::BackendRegistry)); callers that know the
+/// concrete backend can use its generic entry point instead
+/// (`modulo_schedule_observed`, or the provers' `schedule_exact_profiled`
+/// / `schedule_sat_profiled`), monomorphized over the observer.
 pub trait SchedulerBackend {
     /// Which backend this is (stable name via [`BackendKind::name`]).
     ///
@@ -177,9 +170,8 @@ pub trait SchedulerBackend {
 
     /// [`SchedulerBackend::schedule`] with scheduler events reported to
     /// `observer` — the object-safe counterpart of the leaves' generic
-    /// inherent `schedule_observed` methods (which it forwards to via
-    /// the `&mut O` blanket [`SchedObserver`] impl). The default
-    /// ignores the observer.
+    /// entry points (which it forwards to via the `&mut O` blanket
+    /// [`SchedObserver`] impl). The default ignores the observer.
     ///
     /// # Errors
     ///
@@ -292,10 +284,6 @@ mod tests {
             assert_eq!(kind.to_string(), kind.name());
         }
         assert_eq!(BackendKind::from_name("simulated-annealing"), None);
-        #[allow(deprecated)]
-        {
-            assert_eq!(BackendKind::parse("exact"), Some(BackendKind::Exact));
-        }
     }
 
     #[test]

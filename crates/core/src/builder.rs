@@ -1,8 +1,7 @@
 //! The unified scheduling entry point.
 //!
-//! [`Scheduler`] is a builder over the three historical entry points
-//! (`modulo_schedule`, `iterative_schedule`, `iterative_schedule_with`):
-//! construct it from a [`Problem`], chain configuration and an optional
+//! [`Scheduler`] is a builder over the historical `modulo_schedule` entry
+//! point: construct it from a [`Problem`], chain configuration and an optional
 //! [`SchedObserver`], and call [`run`](Scheduler::run).
 //!
 //! ```

@@ -15,7 +15,7 @@
 //! * the **modulo reservation table** of §3.1 ([`Mrt`]);
 //! * the **iterative scheduler** itself (§3.1–§3.4): the [`Scheduler`]
 //!   builder (and the [`modulo_schedule`] wrapper it subsumes) drives
-//!   [`iterative_schedule`] at successively larger II, with
+//!   [`iterative_schedule_observed`] at successively larger II, with
 //!   `FindTimeSlot`'s forward-progress rule and the displacement policy of
 //!   §3.4, under the `BudgetRatio` operation-scheduling budget;
 //! * an **event-level observer layer** ([`SchedObserver`]): every
@@ -28,7 +28,9 @@
 //!   scheduler in `ims-exact`, and the CDCL SAT scheduler in `ims-sat`
 //!   sit behind one object-safe trait, all returning the same
 //!   [`Schedule`] plus [`IiBounds`] on the true minimum II, so the
-//!   harness can measure the heuristic's optimality gap. Backends are
+//!   harness can measure the heuristic's optimality gap. The exact
+//!   backends share one II walk, [`prove_min_ii`], and supply only their
+//!   decide-one-II step ([`IiProver`]). Backends are
 //!   string-addressable: a [`BackendSpec`] (`ims`, `exact`, `sat`,
 //!   `portfolio(a,b,...)`) resolves through an open [`BackendRegistry`]
 //!   to a boxed backend — the portfolio form races members with a
@@ -61,7 +63,7 @@
 //! let outcome = modulo_schedule(&problem, &SchedConfig::default())?;
 //! assert_eq!(outcome.mii.rec_mii, 2); // delay 2 around the circuit, distance 1
 //! assert_eq!(outcome.schedule.ii, 2);
-//! # Ok::<(), ims_core::SchedError>(())
+//! # Ok::<(), ims_core::ScheduleError>(())
 //! ```
 
 mod backend;
@@ -74,6 +76,7 @@ mod mrt;
 mod observe;
 mod priority;
 mod problem;
+mod prove;
 mod registry;
 mod sched;
 mod spec;
@@ -93,9 +96,9 @@ pub use mrt::Mrt;
 pub use observe::{NullObserver, SchedObserver};
 pub use priority::{height_r, priorities, PriorityKind};
 pub use problem::{NodeKind, Problem, ProblemBuilder};
+pub use prove::{prove_min_ii, IiDecision, IiProver, ProverOutcome};
 pub use sched::{
-    iterative_schedule, iterative_schedule_observed, iterative_schedule_with, modulo_schedule,
-    modulo_schedule_observed, IiAttempt, SchedConfig, SchedError, SchedOutcome, SchedStats,
-    Schedule, ScheduleError,
+    iterative_schedule_observed, modulo_schedule, modulo_schedule_observed, IiAttempt,
+    SchedConfig, SchedOutcome, SchedStats, Schedule, ScheduleError,
 };
 pub use validate::{validate_schedule, ScheduleViolation};

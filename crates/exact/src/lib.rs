@@ -15,12 +15,13 @@
 //! feasible II is optimal by construction.
 //!
 //! Exhaustive search is exponential in the worst case, so the search is
-//! metered: a node budget ([`ExactConfig::node_limit`]) and an optional
-//! wall-clock deadline ([`ExactConfig::deadline`]). When either runs out
-//! the scheduler degrades gracefully — it returns the iterative schedule
-//! plus explicit [`IiBounds`] recording exactly which IIs were proven
-//! infeasible (`proved_lb`) and the best schedule in hand (`best_ub`),
-//! never a hang and never a silent claim of optimality.
+//! metered by a deterministic node budget ([`ExactConfig::node_limit`]).
+//! When it runs out the scheduler degrades gracefully — it returns the
+//! iterative schedule plus explicit [`IiBounds`] recording exactly which
+//! IIs were proven infeasible (`proved_lb`) and the best schedule in hand
+//! (`best_ub`), never a hang and never a silent claim of optimality. The
+//! walk over candidate IIs is ims-core's [`prove_min_ii`], shared with
+//! the SAT prover; this crate supplies only the per-II search.
 //!
 //! The crate plugs into the workspace through the
 //! [`SchedulerBackend`] seam: [`ExactBackend`] produces the same
@@ -49,18 +50,14 @@
 //! # Ok::<(), ims_core::ScheduleError>(())
 //! ```
 
-use std::time::{Duration, Instant};
-
 use ims_core::{
-    modulo_schedule, BackendKind, BackendOutcome, BackendParams, BackendRegistry, IiBounds,
-    MiiInfo, NullObserver, Problem, SchedConfig, SchedObserver, Schedule, ScheduleError,
-    SchedulerBackend,
+    prove_min_ii, BackendKind, BackendOutcome, BackendParams, BackendRegistry, IiBounds,
+    IiDecision, IiProver, MiiInfo, NullObserver, Problem, ProverOutcome, SchedConfig,
+    SchedObserver, Schedule, ScheduleError, SchedulerBackend,
 };
 use ims_prof::{phase, NullSink, ProfSink};
 
 mod search;
-
-use search::{search_ii, SearchResult};
 
 /// Configuration for the exact scheduler.
 #[derive(Debug, Clone)]
@@ -70,13 +67,6 @@ pub struct ExactConfig {
     /// BudgetRatio 6 (the paper's quality setting) so the search window
     /// between MII and the heuristic II is as small as possible.
     pub heuristic: SchedConfig,
-    /// Wall-clock deadline for the whole branch-and-bound phase (the
-    /// heuristic run is not counted). `None` — the default — leaves the
-    /// search bounded only by `node_limit`. Deadlines trade determinism
-    /// for latency control: two runs under the same deadline may abort at
-    /// different points, so deterministic harnesses should meter with
-    /// `node_limit` instead.
-    pub deadline: Option<Duration>,
     /// Budget of branch-and-bound nodes (placements tried) across all
     /// candidate IIs. `None` is unlimited. The default (`2^22`) decides
     /// every corpus loop in well under a second.
@@ -87,7 +77,6 @@ impl Default for ExactConfig {
     fn default() -> Self {
         ExactConfig {
             heuristic: SchedConfig::with_budget_ratio(6.0),
-            deadline: None,
             node_limit: Some(1 << 22),
         }
     }
@@ -102,12 +91,6 @@ impl ExactConfig {
     /// Sets the internal iterative-scheduler configuration.
     pub fn heuristic(mut self, heuristic: SchedConfig) -> Self {
         self.heuristic = heuristic;
-        self
-    }
-
-    /// Sets the wall-clock deadline for the branch-and-bound phase.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -133,7 +116,7 @@ pub struct ExactOutcome {
     /// Branch-and-bound nodes spent (0 when the heuristic already
     /// achieved the MII and no search was needed).
     pub nodes: u64,
-    /// Whether the node budget or deadline aborted the search before it
+    /// Whether the node budget aborted the search before it
     /// could decide every II below `ims_ii`.
     pub limit_hit: bool,
     /// The II the internal iterative scheduler achieved — the yardstick
@@ -145,6 +128,51 @@ impl ExactOutcome {
     /// Whether `schedule` is proven II-optimal.
     pub fn optimal(&self) -> bool {
         self.bounds.is_exact()
+    }
+}
+
+impl From<ProverOutcome> for ExactOutcome {
+    fn from(out: ProverOutcome) -> Self {
+        ExactOutcome {
+            schedule: out.schedule,
+            mii: out.mii,
+            bounds: out.bounds,
+            nodes: out.work,
+            limit_hit: out.limit_hit,
+            ims_ii: out.ims_ii,
+        }
+    }
+}
+
+impl From<ExactOutcome> for BackendOutcome {
+    fn from(out: ExactOutcome) -> Self {
+        BackendOutcome {
+            schedule: out.schedule,
+            mii: out.mii,
+            bounds: out.bounds,
+            steps: out.nodes,
+        }
+    }
+}
+
+/// The branch-and-bound search as the shared walk's decide-one-II step;
+/// its work unit is the search node.
+struct BranchAndBound;
+
+impl IiProver for BranchAndBound {
+    const KIND: BackendKind = BackendKind::Exact;
+    const IIS_SEARCHED: &'static str = phase::EXACT_IIS_SEARCHED;
+    const IIS_INFEASIBLE: &'static str = phase::EXACT_IIS_INFEASIBLE;
+    const LIMIT_HITS: &'static str = phase::EXACT_LIMIT_HITS;
+
+    fn decide_ii<P: ProfSink>(
+        &self,
+        problem: &Problem<'_>,
+        ii: i64,
+        budget: u64,
+        prof: &mut P,
+    ) -> (IiDecision, u64) {
+        search::search_ii(problem, ii, budget, prof)
     }
 }
 
@@ -161,36 +189,22 @@ pub fn schedule_exact(
     problem: &Problem<'_>,
     config: &ExactConfig,
 ) -> Result<ExactOutcome, ScheduleError> {
-    schedule_exact_observed(problem, config, &mut NullObserver)
+    schedule_exact_profiled(problem, config, &mut NullObserver, &mut NullSink)
 }
 
-/// [`schedule_exact`] with scheduler events reported to `observer`.
+/// [`schedule_exact`] with scheduler events reported to `observer` and
+/// deterministic search statistics to `prof`.
 ///
-/// The observer sees `backend(Exact)`, then one `attempt_start` /
-/// `attempt_done` bracket per candidate II searched (the `budget` is the
-/// remaining node budget, saturated to `i64::MAX`), with the final
-/// schedule's placements emitted as `op_scheduled` events inside its
-/// attempt — so trace replay reconstructs the exact schedule just as it
-/// does for the iterative scheduler. The internal heuristic run is not
-/// observed.
-///
-/// # Errors
-///
-/// As [`schedule_exact`].
-pub fn schedule_exact_observed<O: SchedObserver>(
-    problem: &Problem<'_>,
-    config: &ExactConfig,
-    observer: &mut O,
-) -> Result<ExactOutcome, ScheduleError> {
-    schedule_exact_profiled(problem, config, observer, &mut NullSink)
-}
-
-/// [`schedule_exact_observed`] with deterministic search statistics
-/// additionally reported to `prof`: branch-and-bound nodes, memoization
+/// The observer sees the walk described in [`prove_min_ii`]: one
+/// `attempt_start` / `attempt_done` bracket per candidate II searched
+/// (its `budget` is the remaining node budget), with the final
+/// schedule's placements inside its attempt, so trace replay
+/// reconstructs the exact schedule just as it does for the iterative
+/// scheduler. `prof` receives branch-and-bound nodes, memoization
 /// hits/inserts, prune reasons, candidate-II outcomes, and the
-/// MinDist/SCC/MRT work the search performs, all keyed by the profiler's
+/// MinDist/SCC/MRT work the search performs, keyed by the profiler's
 /// phase names (`exact.*`, `graph.*`, `machine.mrt.probes`). Passing
-/// `&mut NullSink` makes this exactly [`schedule_exact_observed`].
+/// `NullObserver` and `NullSink` makes this exactly [`schedule_exact`].
 ///
 /// # Errors
 ///
@@ -201,102 +215,8 @@ pub fn schedule_exact_profiled<O: SchedObserver, P: ProfSink>(
     observer: &mut O,
     prof: &mut P,
 ) -> Result<ExactOutcome, ScheduleError> {
-    observer.backend(BackendKind::Exact);
-    let ims = modulo_schedule(problem, &config.heuristic)?;
-    let ims_ii = ims.schedule.ii;
-    let mii = ims.mii;
-
-    if ims_ii == mii.mii {
-        // The heuristic achieved the MII: already proven optimal.
-        emit_final(observer, problem, &ims.schedule);
-        return Ok(ExactOutcome {
-            schedule: ims.schedule,
-            mii,
-            bounds: IiBounds::exact(ims_ii),
-            nodes: 0,
-            limit_hit: false,
-            ims_ii,
-        });
-    }
-
-    let deadline = config.deadline.map(|d| Instant::now() + d);
-    let node_limit = config.node_limit.unwrap_or(u64::MAX);
-    let mut spent = 0u64;
-    for ii in mii.mii..ims_ii {
-        let remaining = node_limit.saturating_sub(spent);
-        observer.attempt_start(ii, remaining.min(i64::MAX as u64) as i64);
-        prof.count(phase::EXACT_IIS_SEARCHED, 1);
-        let (result, nodes) = search_ii(problem, ii, remaining, deadline, &mut *prof);
-        spent += nodes;
-        match result {
-            SearchResult::Found(schedule) => {
-                emit_ops(observer, &schedule);
-                observer.attempt_done(ii, true);
-                return Ok(ExactOutcome {
-                    schedule,
-                    mii,
-                    bounds: IiBounds::exact(ii),
-                    nodes: spent,
-                    limit_hit: false,
-                    ims_ii,
-                });
-            }
-            SearchResult::Infeasible => {
-                prof.count(phase::EXACT_IIS_INFEASIBLE, 1);
-                observer.attempt_done(ii, false);
-            }
-            SearchResult::LimitHit => {
-                prof.count(phase::EXACT_LIMIT_HITS, 1);
-                observer.attempt_done(ii, false);
-                emit_final(observer, problem, &ims.schedule);
-                return Ok(ExactOutcome {
-                    schedule: ims.schedule,
-                    mii,
-                    bounds: IiBounds {
-                        proved_lb: ii,
-                        best_ub: ims_ii,
-                    },
-                    nodes: spent,
-                    limit_hit: true,
-                    ims_ii,
-                });
-            }
-        }
-    }
-
-    // Every II below the heuristic's is proven infeasible: the iterative
-    // schedule was optimal all along.
-    emit_final(observer, problem, &ims.schedule);
-    Ok(ExactOutcome {
-        schedule: ims.schedule,
-        mii,
-        bounds: IiBounds::exact(ims_ii),
-        nodes: spent,
-        limit_hit: false,
-        ims_ii,
-    })
-}
-
-/// Emits a full attempt bracket for an already-final schedule (used for
-/// the MII short-circuit and the fallback paths, where no live search
-/// attempt is open for the schedule being returned).
-fn emit_final<O: SchedObserver>(observer: &mut O, problem: &Problem<'_>, schedule: &Schedule) {
-    let _ = problem;
-    observer.attempt_start(schedule.ii, 0);
-    emit_ops(observer, schedule);
-    observer.attempt_done(schedule.ii, true);
-}
-
-/// Emits `op_scheduled` for every node of `schedule`, in node order.
-fn emit_ops<O: SchedObserver>(observer: &mut O, schedule: &Schedule) {
-    for idx in 0..schedule.time.len() {
-        observer.op_scheduled(
-            ims_graph::NodeId(idx as u32),
-            schedule.time[idx],
-            schedule.alternative[idx],
-            false,
-        );
-    }
+    prove_min_ii(problem, &config.heuristic, config.node_limit, &BranchAndBound, observer, prof)
+        .map(ExactOutcome::from)
 }
 
 /// The exact scheduler as a [`SchedulerBackend`].
@@ -319,26 +239,6 @@ impl ExactBackend {
     pub fn config(&self) -> &ExactConfig {
         &self.config
     }
-
-    /// [`SchedulerBackend::schedule`] with scheduler events reported to
-    /// `observer`.
-    ///
-    /// # Errors
-    ///
-    /// As [`schedule_exact`].
-    pub fn schedule_observed<O: SchedObserver>(
-        &self,
-        problem: &Problem<'_>,
-        observer: &mut O,
-    ) -> Result<BackendOutcome, ScheduleError> {
-        let out = schedule_exact_observed(problem, &self.config, observer)?;
-        Ok(BackendOutcome {
-            schedule: out.schedule,
-            mii: out.mii,
-            bounds: out.bounds,
-            steps: out.nodes,
-        })
-    }
 }
 
 impl SchedulerBackend for ExactBackend {
@@ -347,16 +247,16 @@ impl SchedulerBackend for ExactBackend {
     }
 
     fn schedule(&self, problem: &Problem<'_>) -> Result<BackendOutcome, ScheduleError> {
-        self.schedule_observed(problem, &mut NullObserver)
+        schedule_exact(problem, &self.config).map(BackendOutcome::from)
     }
 
     fn schedule_observed_dyn(
         &self,
         problem: &Problem<'_>,
-        observer: &mut dyn SchedObserver,
+        mut observer: &mut dyn SchedObserver,
     ) -> Result<BackendOutcome, ScheduleError> {
-        let mut observer = observer;
-        self.schedule_observed(problem, &mut observer)
+        schedule_exact_profiled(problem, &self.config, &mut observer, &mut NullSink)
+            .map(BackendOutcome::from)
     }
 }
 
@@ -439,19 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_degrades_deterministically() {
-        let m = figure1_machine();
-        let p = figure1_problem(&m);
-        let out =
-            schedule_exact(&p, &ExactConfig::new().deadline(Duration::ZERO)).unwrap();
-        assert!(out.limit_hit, "an already-expired deadline aborts at entry");
-        assert_eq!(out.nodes, 0);
-        assert_eq!(out.bounds.proved_lb, out.mii.mii);
-        assert_eq!(out.bounds.best_ub, out.ims_ii);
-        assert!(validate_schedule(&p, &out.schedule).is_ok());
-    }
-
-    #[test]
     fn profiled_search_reports_deterministic_statistics() {
         let m = figure1_machine();
         let p = figure1_problem(&m);
@@ -516,7 +403,8 @@ mod tests {
         let m = figure1_machine();
         let p = figure1_problem(&m);
         let mut spy = Spy::default();
-        let out = schedule_exact_observed(&p, &ExactConfig::default(), &mut spy).unwrap();
+        let out =
+            schedule_exact_profiled(&p, &ExactConfig::default(), &mut spy, &mut NullSink).unwrap();
         assert_eq!(spy.backend, Some(BackendKind::Exact));
         let last = spy.attempts.last().unwrap();
         assert_eq!(*last, (out.schedule.ii, true), "final attempt succeeded");

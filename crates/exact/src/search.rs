@@ -37,27 +37,15 @@
 //!   growing (still sound, just fewer hits).
 //!
 //! Search effort is metered in **nodes** (placements tried). The caller
-//! supplies a node budget and an optional wall-clock deadline; exceeding
-//! either aborts the search with [`SearchResult::LimitHit`], in which case
-//! infeasibility has *not* been proven.
+//! supplies a node budget; exceeding it aborts the search with
+//! [`IiDecision::LimitHit`], in which case infeasibility has *not* been
+//! proven.
 
 use std::collections::HashSet;
-use std::time::Instant;
 
-use ims_core::{Mrt, Problem, Schedule};
+use ims_core::{IiDecision, Mrt, Problem, Schedule};
 use ims_graph::{sccs, MinDist, MinDistSolver, NodeId, NEG_INF};
 use ims_prof::{phase, ProfSink};
-
-/// Outcome of one exhaustive (or aborted) search at a fixed II.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum SearchResult {
-    /// A legal schedule exists at this II; here is one.
-    Found(Schedule),
-    /// No legal schedule exists at this II (proven exhaustively).
-    Infeasible,
-    /// The node budget or deadline ran out; feasibility is unknown.
-    LimitHit,
-}
 
 /// Memoization key for a failed partial schedule. Exact equality only —
 /// two states with equal keys have identical sets of feasible
@@ -74,9 +62,6 @@ struct MemoKey {
 
 /// Cap on memo entries; beyond this the table stops growing (sound).
 const MEMO_CAP: usize = 1 << 20;
-
-/// How often (in nodes) the wall-clock deadline is polled.
-const DEADLINE_STRIDE: u64 = 0xFF;
 
 struct Dfs<'a, 'm> {
     problem: &'a Problem<'m>,
@@ -98,7 +83,6 @@ struct Dfs<'a, 'm> {
     alt: Vec<usize>,
     nodes: u64,
     node_budget: u64,
-    deadline: Option<Instant>,
     memo: HashSet<MemoKey>,
     /// Deterministic search statistics, flushed to the caller's
     /// [`ProfSink`] when the search returns.
@@ -235,9 +219,7 @@ impl Dfs<'_, '_> {
                     continue;
                 }
                 self.nodes += 1;
-                if self.nodes > self.node_budget
-                    || (self.nodes & DEADLINE_STRIDE) == 0 && self.deadline_passed()
-                {
+                if self.nodes > self.node_budget {
                     return None;
                 }
                 self.place(v, ai, t);
@@ -255,16 +237,11 @@ impl Dfs<'_, '_> {
         self.note_failed(depth);
         Some(false)
     }
-
-    fn deadline_passed(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
 }
 
 /// Exhaustively decides feasibility of `problem` at candidate `ii`,
-/// spending at most `node_budget` placement attempts (and respecting
-/// `deadline`, polled every few hundred nodes and once on entry).
-/// Returns the result plus the nodes actually spent.
+/// spending at most `node_budget` placement attempts. Returns the
+/// decision plus the nodes actually spent.
 ///
 /// Deterministic search statistics — nodes, memoization hits/inserts,
 /// prune reasons, MinDist/SCC/MRT work — flow into `prof` under their
@@ -273,19 +250,15 @@ pub(crate) fn search_ii<P: ProfSink>(
     problem: &Problem<'_>,
     ii: i64,
     node_budget: u64,
-    deadline: Option<Instant>,
     prof: &mut P,
-) -> (SearchResult, u64) {
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return (SearchResult::LimitHit, 0);
-    }
+) -> (IiDecision, u64) {
     let graph = problem.graph();
     let all: Vec<NodeId> = graph.nodes().collect();
     let md = MinDistSolver::new(graph, &all).solve(ii, &mut *prof);
     if !md.feasible() {
         // A positive MinDist diagonal is already a proof: no schedule
         // exists at this II regardless of resources.
-        return (SearchResult::Infeasible, 0);
+        return (IiDecision::Infeasible, 0);
     }
 
     let start = problem.start();
@@ -343,7 +316,6 @@ pub(crate) fn search_ii<P: ProfSink>(
         alt: vec![0usize; graph.num_nodes()],
         nodes: 0,
         node_budget,
-        deadline,
         memo: HashSet::new(),
         memo_hits: 0,
         memo_inserts: 0,
@@ -380,7 +352,7 @@ pub(crate) fn search_ii<P: ProfSink>(
             }
             time[stop.index()] = t_stop;
             (
-                SearchResult::Found(Schedule {
+                IiDecision::Feasible(Schedule {
                     ii,
                     time,
                     alternative,
@@ -389,7 +361,7 @@ pub(crate) fn search_ii<P: ProfSink>(
                 dfs.nodes,
             )
         }
-        Some(false) => (SearchResult::Infeasible, dfs.nodes),
-        None => (SearchResult::LimitHit, dfs.nodes),
+        Some(false) => (IiDecision::Infeasible, dfs.nodes),
+        None => (IiDecision::LimitHit, dfs.nodes),
     }
 }

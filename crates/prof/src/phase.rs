@@ -78,7 +78,7 @@ pub const EXACT_IIS_SEARCHED: &str = "exact.iis.searched";
 /// Candidate IIs proven infeasible (before resources, by a positive
 /// MinDist diagonal, or exhaustively).
 pub const EXACT_IIS_INFEASIBLE: &str = "exact.iis.infeasible";
-/// Searches aborted by the node budget or deadline.
+/// Searches aborted by the node budget.
 pub const EXACT_LIMIT_HITS: &str = "exact.limit.hits";
 
 // ---- exact SAT backend (ims-sat) ----

@@ -44,7 +44,7 @@
 //! whole decision, including every statistic, is byte-reproducible at
 //! any thread count.
 
-use ims_core::{Problem, Schedule};
+use ims_core::{IiDecision, Problem, Schedule};
 use ims_graph::{sccs, MinDist, MinDistSolver, NodeId, NEG_INF};
 use ims_prof::{phase, ProfSink};
 
@@ -59,17 +59,6 @@ pub(crate) struct SatLimits {
     pub clause_limit: u64,
     /// Abort encoding when the summed window width passes this.
     pub slot_limit: u64,
-}
-
-/// Outcome of one per-II decision.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum IiDecision {
-    /// A legal schedule exists at this II; here is one.
-    Feasible(Schedule),
-    /// No legal schedule exists at this II (proven).
-    Infeasible,
-    /// A cap (conflicts, clauses, or slots) ran out; unknown.
-    LimitHit,
 }
 
 /// A literal-or-constant, for window-clipped threshold lookups.

@@ -3,17 +3,18 @@
 //! Exact modulo scheduling by reduction to SAT.
 //!
 //! This crate is the branch-and-bound backend's twin with a different
-//! proof engine: [`schedule_sat`] runs the iterative scheduler for an
-//! upper bound and fallback, then walks candidate IIs upward from the
-//! MII, deciding each one by encoding "∃ legal schedule at this II?"
-//! into CNF (see the `encode` module docs for the variable layout and
-//! clause families) and handing the formula to a small, deterministic,
-//! std-only CDCL solver (`solver` module: two-watched literals, 1-UIP
-//! conflict-clause learning, Luby restarts, activity-ordered decisions
-//! tie-broken by variable id). The first satisfiable II is optimal by
-//! construction, and an UNSAT answer is a *proof* of infeasibility —
-//! the same contract branch-and-bound offers, which is what makes the
-//! two backends cross-checkable loop by loop.
+//! proof engine: [`schedule_sat`] runs ims-core's shared II walk
+//! ([`prove_min_ii`]) — the iterative scheduler for an upper bound and
+//! fallback, then candidate IIs upward from the MII — deciding each one
+//! by encoding "∃ legal schedule at this II?" into CNF (see the `encode`
+//! module docs for the variable layout and clause families) and handing
+//! the formula to a small, deterministic, std-only CDCL solver (`solver`
+//! module: two-watched literals, 1-UIP conflict-clause learning, Luby
+//! restarts, activity-ordered decisions tie-broken by variable id). The
+//! first satisfiable II is optimal by construction, and an UNSAT answer
+//! is a *proof* of infeasibility — the same contract branch-and-bound
+//! offers, which is what makes the two backends cross-checkable loop by
+//! loop.
 //!
 //! SAT can blow up, so every per-II decision is metered three ways:
 //! a conflict budget shared across the II walk
@@ -53,16 +54,16 @@
 //! ```
 
 use ims_core::{
-    modulo_schedule, BackendKind, BackendOutcome, BackendParams, BackendRegistry, IiBounds,
-    MiiInfo, NullObserver, Problem, SchedConfig, SchedObserver, Schedule, ScheduleError,
-    SchedulerBackend,
+    prove_min_ii, BackendKind, BackendOutcome, BackendParams, BackendRegistry, IiBounds,
+    IiDecision, IiProver, MiiInfo, NullObserver, Problem, ProverOutcome, SchedConfig,
+    SchedObserver, Schedule, ScheduleError, SchedulerBackend,
 };
 use ims_prof::{phase, NullSink, ProfSink};
 
 mod encode;
 mod solver;
 
-use encode::{decide_ii, IiDecision, SatLimits};
+use encode::{decide_ii, SatLimits};
 
 /// Configuration for the SAT scheduler.
 #[derive(Debug, Clone)]
@@ -157,6 +158,60 @@ impl SatOutcome {
     }
 }
 
+impl From<ProverOutcome> for SatOutcome {
+    fn from(out: ProverOutcome) -> Self {
+        SatOutcome {
+            schedule: out.schedule,
+            mii: out.mii,
+            bounds: out.bounds,
+            conflicts: out.work,
+            limit_hit: out.limit_hit,
+            ims_ii: out.ims_ii,
+        }
+    }
+}
+
+impl From<SatOutcome> for BackendOutcome {
+    fn from(out: SatOutcome) -> Self {
+        BackendOutcome {
+            schedule: out.schedule,
+            mii: out.mii,
+            bounds: out.bounds,
+            steps: out.conflicts,
+        }
+    }
+}
+
+/// The CNF encoding plus CDCL solve as the shared walk's decide-one-II
+/// step; its work unit is the conflict, and the clause and slot caps
+/// apply to each per-II encoding.
+struct Cdcl {
+    clause_limit: u64,
+    slot_limit: u64,
+}
+
+impl IiProver for Cdcl {
+    const KIND: BackendKind = BackendKind::Sat;
+    const IIS_SEARCHED: &'static str = phase::SAT_IIS_SEARCHED;
+    const IIS_INFEASIBLE: &'static str = phase::SAT_IIS_INFEASIBLE;
+    const LIMIT_HITS: &'static str = phase::SAT_LIMIT_HITS;
+
+    fn decide_ii<P: ProfSink>(
+        &self,
+        problem: &Problem<'_>,
+        ii: i64,
+        budget: u64,
+        prof: &mut P,
+    ) -> (IiDecision, u64) {
+        let limits = SatLimits {
+            conflict_budget: budget,
+            clause_limit: self.clause_limit,
+            slot_limit: self.slot_limit,
+        };
+        decide_ii(problem, ii, &limits, prof)
+    }
+}
+
 /// Schedules `problem` exactly by SAT: the returned schedule's II is
 /// proven minimal unless a cap hit, in which case `bounds` says how much
 /// is still open. See the crate docs for the algorithm.
@@ -166,35 +221,21 @@ impl SatOutcome {
 /// Forwards the internal iterative run's [`ScheduleError`]; the SAT
 /// phase itself cannot fail (it degrades to the iterative schedule).
 pub fn schedule_sat(problem: &Problem<'_>, config: &SatConfig) -> Result<SatOutcome, ScheduleError> {
-    schedule_sat_observed(problem, config, &mut NullObserver)
+    schedule_sat_profiled(problem, config, &mut NullObserver, &mut NullSink)
 }
 
-/// [`schedule_sat`] with scheduler events reported to `observer`.
+/// [`schedule_sat`] with scheduler events reported to `observer` and
+/// deterministic solver statistics to `prof`.
 ///
-/// The observer sees `backend(Sat)`, then one `attempt_start` /
-/// `attempt_done` bracket per candidate II decided (the `budget` is the
-/// remaining conflict budget, saturated to `i64::MAX`), with the final
-/// schedule's placements emitted as `op_scheduled` events inside its
-/// attempt — the same replayable shape the other backends emit. The
-/// internal heuristic run is not observed.
-///
-/// # Errors
-///
-/// As [`schedule_sat`].
-pub fn schedule_sat_observed<O: SchedObserver>(
-    problem: &Problem<'_>,
-    config: &SatConfig,
-    observer: &mut O,
-) -> Result<SatOutcome, ScheduleError> {
-    schedule_sat_profiled(problem, config, observer, &mut NullSink)
-}
-
-/// [`schedule_sat_observed`] with deterministic solver statistics
-/// additionally reported to `prof`: variables, clauses, conflicts,
-/// decisions, propagations, restarts, and candidate-II outcomes, keyed
-/// by the profiler's `sat.*` phase names (plus the `graph.*` work the
-/// encoder performs). Passing `&mut NullSink` makes this exactly
-/// [`schedule_sat_observed`].
+/// The observer sees the walk described in [`prove_min_ii`]: one
+/// `attempt_start` / `attempt_done` bracket per candidate II decided
+/// (its `budget` is the remaining conflict budget), with the final
+/// schedule's placements inside its attempt — the same replayable shape
+/// the other backends emit. `prof` receives variables, clauses,
+/// conflicts, decisions, propagations, restarts, and candidate-II
+/// outcomes, keyed by the profiler's `sat.*` phase names (plus the
+/// `graph.*` work the encoder performs). Passing `NullObserver` and
+/// `NullSink` makes this exactly [`schedule_sat`].
 ///
 /// # Errors
 ///
@@ -205,107 +246,12 @@ pub fn schedule_sat_profiled<O: SchedObserver, P: ProfSink>(
     observer: &mut O,
     prof: &mut P,
 ) -> Result<SatOutcome, ScheduleError> {
-    observer.backend(BackendKind::Sat);
-    let ims = modulo_schedule(problem, &config.heuristic)?;
-    let ims_ii = ims.schedule.ii;
-    let mii = ims.mii;
-
-    if ims_ii == mii.mii {
-        // The heuristic achieved the MII: already proven optimal.
-        emit_final(observer, &ims.schedule);
-        return Ok(SatOutcome {
-            schedule: ims.schedule,
-            mii,
-            bounds: IiBounds::exact(ims_ii),
-            conflicts: 0,
-            limit_hit: false,
-            ims_ii,
-        });
-    }
-
-    let conflict_limit = config.conflict_limit.unwrap_or(u64::MAX);
-    let clause_limit = config.clause_limit.unwrap_or(u64::MAX);
-    let slot_limit = config.slot_limit.unwrap_or(u64::MAX);
-    let mut spent = 0u64;
-    for ii in mii.mii..ims_ii {
-        let remaining = conflict_limit.saturating_sub(spent);
-        observer.attempt_start(ii, remaining.min(i64::MAX as u64) as i64);
-        prof.count(phase::SAT_IIS_SEARCHED, 1);
-        let limits = SatLimits {
-            conflict_budget: remaining,
-            clause_limit,
-            slot_limit,
-        };
-        let (decision, conflicts) = decide_ii(problem, ii, &limits, &mut *prof);
-        spent += conflicts;
-        match decision {
-            IiDecision::Feasible(schedule) => {
-                emit_ops(observer, &schedule);
-                observer.attempt_done(ii, true);
-                return Ok(SatOutcome {
-                    schedule,
-                    mii,
-                    bounds: IiBounds::exact(ii),
-                    conflicts: spent,
-                    limit_hit: false,
-                    ims_ii,
-                });
-            }
-            IiDecision::Infeasible => {
-                prof.count(phase::SAT_IIS_INFEASIBLE, 1);
-                observer.attempt_done(ii, false);
-            }
-            IiDecision::LimitHit => {
-                prof.count(phase::SAT_LIMIT_HITS, 1);
-                observer.attempt_done(ii, false);
-                emit_final(observer, &ims.schedule);
-                return Ok(SatOutcome {
-                    schedule: ims.schedule,
-                    mii,
-                    bounds: IiBounds {
-                        proved_lb: ii,
-                        best_ub: ims_ii,
-                    },
-                    conflicts: spent,
-                    limit_hit: true,
-                    ims_ii,
-                });
-            }
-        }
-    }
-
-    // Every II below the heuristic's is proven infeasible: the iterative
-    // schedule was optimal all along.
-    emit_final(observer, &ims.schedule);
-    Ok(SatOutcome {
-        schedule: ims.schedule,
-        mii,
-        bounds: IiBounds::exact(ims_ii),
-        conflicts: spent,
-        limit_hit: false,
-        ims_ii,
-    })
-}
-
-/// Emits a full attempt bracket for an already-final schedule (MII
-/// short-circuit and fallback paths, where no live attempt is open for
-/// the schedule being returned).
-fn emit_final<O: SchedObserver>(observer: &mut O, schedule: &Schedule) {
-    observer.attempt_start(schedule.ii, 0);
-    emit_ops(observer, schedule);
-    observer.attempt_done(schedule.ii, true);
-}
-
-/// Emits `op_scheduled` for every node of `schedule`, in node order.
-fn emit_ops<O: SchedObserver>(observer: &mut O, schedule: &Schedule) {
-    for idx in 0..schedule.time.len() {
-        observer.op_scheduled(
-            ims_graph::NodeId(idx as u32),
-            schedule.time[idx],
-            schedule.alternative[idx],
-            false,
-        );
-    }
+    let prover = Cdcl {
+        clause_limit: config.clause_limit.unwrap_or(u64::MAX),
+        slot_limit: config.slot_limit.unwrap_or(u64::MAX),
+    };
+    prove_min_ii(problem, &config.heuristic, config.conflict_limit, &prover, observer, prof)
+        .map(SatOutcome::from)
 }
 
 /// The SAT scheduler as a [`SchedulerBackend`].
@@ -327,26 +273,6 @@ impl SatBackend {
     pub fn config(&self) -> &SatConfig {
         &self.config
     }
-
-    /// [`SchedulerBackend::schedule`] with scheduler events reported to
-    /// `observer`.
-    ///
-    /// # Errors
-    ///
-    /// As [`schedule_sat`].
-    pub fn schedule_observed<O: SchedObserver>(
-        &self,
-        problem: &Problem<'_>,
-        observer: &mut O,
-    ) -> Result<BackendOutcome, ScheduleError> {
-        let out = schedule_sat_observed(problem, &self.config, observer)?;
-        Ok(BackendOutcome {
-            schedule: out.schedule,
-            mii: out.mii,
-            bounds: out.bounds,
-            steps: out.conflicts,
-        })
-    }
 }
 
 impl SchedulerBackend for SatBackend {
@@ -355,16 +281,16 @@ impl SchedulerBackend for SatBackend {
     }
 
     fn schedule(&self, problem: &Problem<'_>) -> Result<BackendOutcome, ScheduleError> {
-        self.schedule_observed(problem, &mut NullObserver)
+        schedule_sat(problem, &self.config).map(BackendOutcome::from)
     }
 
     fn schedule_observed_dyn(
         &self,
         problem: &Problem<'_>,
-        observer: &mut dyn SchedObserver,
+        mut observer: &mut dyn SchedObserver,
     ) -> Result<BackendOutcome, ScheduleError> {
-        let mut observer = observer;
-        self.schedule_observed(problem, &mut observer)
+        schedule_sat_profiled(problem, &self.config, &mut observer, &mut NullSink)
+            .map(BackendOutcome::from)
     }
 }
 
@@ -518,7 +444,8 @@ mod tests {
         let m = figure1_machine();
         let p = figure1_problem(&m);
         let mut spy = Spy::default();
-        let out = schedule_sat_observed(&p, &SatConfig::default(), &mut spy).unwrap();
+        let out =
+            schedule_sat_profiled(&p, &SatConfig::default(), &mut spy, &mut NullSink).unwrap();
         assert_eq!(spy.backend, Some(BackendKind::Sat));
         let last = spy.attempts.last().unwrap();
         assert_eq!(*last, (out.schedule.ii, true), "final attempt succeeded");

@@ -2,8 +2,8 @@
 //!
 //! [`gen_requests`] turns the seeded benchmark corpus (`ims-loopgen`)
 //! into wire-format request lines: each loop body is back-substituted and
-//! analyzed exactly as `measure_loop` does it, then the resulting problem's
-//! real operations and dependence edges are serialized. The output is a
+//! analyzed exactly as `ims_bench::measure` does it, then the resulting
+//! problem's real operations and dependence edges are serialized. The output is a
 //! pure function of `(seed, n)`, so replay files for determinism checks
 //! can be regenerated anywhere.
 //!

@@ -70,6 +70,46 @@ pub fn threads_or_exit(args: &[String]) -> usize {
     }
 }
 
+/// Reads the value of `--name V` / `--name=V` from `args`, parsed as `T`;
+/// `None` when the flag is absent. Every driver flag that carries a value
+/// goes through here (or through one of the typed parsers below), with
+/// the contract of [`threads_or_exit`]: a flag that is present but has a
+/// missing or malformed value prints the error and `usage` to stderr and
+/// exits with status 2 — it is never silently replaced by a default.
+pub fn flag_or_exit<T: std::str::FromStr>(args: &[String], name: &str, usage: &str) -> Option<T> {
+    let fail = |msg: String| -> ! {
+        eprintln!("error: {msg}");
+        eprintln!("{usage}");
+        std::process::exit(2);
+    };
+    match flag_value(args, name) {
+        Ok(None) => None,
+        Ok(Some(v)) => match v.parse() {
+            Ok(t) => Some(t),
+            Err(_) => fail(format!("invalid {name} value {v:?}")),
+        },
+        Err(MissingValue) => fail(format!("{name} requires a value")),
+    }
+}
+
+/// A value flag was the last argument, with nothing following it.
+struct MissingValue;
+
+/// The raw value of the first `--name V` / `--name=V` in `args`
+/// (`Ok(None)` when the flag is absent).
+fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, MissingValue> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == name {
+            return it.next().map(|v| Some(v.as_str())).ok_or(MissingValue);
+        }
+        if let Some(v) = a.strip_prefix(name).and_then(|r| r.strip_prefix('=')) {
+            return Ok(Some(v));
+        }
+    }
+    Ok(None)
+}
+
 /// Why a `--threads` flag could not be resolved to a worker count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ThreadsError {
@@ -100,22 +140,14 @@ impl std::fmt::Display for ThreadsError {
 /// or `0`. Drivers surface the error and exit nonzero; see
 /// [`threads_or_exit`].
 pub fn parse_threads(args: &[String]) -> Result<Option<usize>, ThreadsError> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = if a == "--threads" {
-            it.next().ok_or(ThreadsError::MissingValue)?.as_str()
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            v
-        } else {
-            continue;
-        };
-        return match value.parse::<usize>() {
-            Ok(0) => Err(ThreadsError::Zero),
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(ThreadsError::Invalid(value.to_string())),
-        };
+    let Some(value) = flag_value(args, "--threads").map_err(|_| ThreadsError::MissingValue)? else {
+        return Ok(None);
+    };
+    match value.parse::<usize>() {
+        Ok(0) => Err(ThreadsError::Zero),
+        Ok(n) => Ok(Some(n)),
+        Err(_) => Err(ThreadsError::Invalid(value.to_string())),
     }
-    Ok(None)
 }
 
 /// Why a `--backend` flag could not be resolved to a [`ims_core::BackendSpec`].
@@ -144,21 +176,10 @@ impl std::fmt::Display for BackendError {
 /// own default backend); an error — never a silent default — when the
 /// flag is present but malformed.
 pub fn parse_backend(args: &[String]) -> Result<Option<ims_core::BackendSpec>, BackendError> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = if a == "--backend" {
-            it.next().ok_or(BackendError::MissingValue)?.as_str()
-        } else if let Some(v) = a.strip_prefix("--backend=") {
-            v
-        } else {
-            continue;
-        };
-        return match value.parse::<ims_core::BackendSpec>() {
-            Ok(spec) => Ok(Some(spec)),
-            Err(e) => Err(BackendError::Invalid(e)),
-        };
-    }
-    Ok(None)
+    let Some(value) = flag_value(args, "--backend").map_err(|_| BackendError::MissingValue)? else {
+        return Ok(None);
+    };
+    value.parse().map(Some).map_err(BackendError::Invalid)
 }
 
 /// [`parse_backend`] with driver-grade failure handling: resolves the
@@ -206,22 +227,16 @@ impl std::fmt::Display for PressureError {
 /// absent (pressure enforcement disabled); an error — never a silent
 /// default — when the flag is present but malformed.
 pub fn parse_pressure(args: &[String]) -> Result<Option<u32>, PressureError> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = if a == "--pressure-limit" {
-            it.next().ok_or(PressureError::MissingValue)?.as_str()
-        } else if let Some(v) = a.strip_prefix("--pressure-limit=") {
-            v
-        } else {
-            continue;
-        };
-        return match value.parse::<u32>() {
-            Ok(0) => Err(PressureError::Zero),
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(PressureError::Invalid(value.to_string())),
-        };
+    let Some(value) =
+        flag_value(args, "--pressure-limit").map_err(|_| PressureError::MissingValue)?
+    else {
+        return Ok(None);
+    };
+    match value.parse::<u32>() {
+        Ok(0) => Err(PressureError::Zero),
+        Ok(n) => Ok(Some(n)),
+        Err(_) => Err(PressureError::Invalid(value.to_string())),
     }
-    Ok(None)
 }
 
 /// [`parse_pressure`] with driver-grade failure handling: resolves the

@@ -13,6 +13,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
+# The end-to-end benchmark is a workspace of its own that builds against
+# the crates by path, so the workspace build above never compiles it: a
+# crate API change that breaks it must fail here.
+echo "==> cargo build --release --offline (imsbench)"
+cargo build --release --offline --manifest-path imsbench/Cargo.toml
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
