@@ -15,8 +15,25 @@ use ims_core::{
 use ims_deps::{back_substitute, build_problem, BuildOptions};
 use ims_loopgen::{generate_loop, SynthConfig};
 use ims_machine::{cydra, MachineModel};
-use ims_testkit::bench::{black_box, run, BenchSpec, JsonValue};
+use ims_prof::json::{json_object, JsonValue};
+use ims_testkit::bench::{black_box, run, BenchResult, BenchSpec};
 use ims_testkit::Xoshiro256;
+
+/// One JSON line per bench result: the timing order statistics, then the
+/// scenario's own counters.
+fn json_line(r: &BenchResult, extra: &[(&str, JsonValue)]) -> String {
+    let mut fields = vec![
+        ("bench", JsonValue::Str(r.name.clone())),
+        ("iters", JsonValue::U64(r.iters.into())),
+        ("min_ns", JsonValue::U64(r.min_ns)),
+        ("median_ns", JsonValue::U64(r.median_ns)),
+        ("p90_ns", JsonValue::U64(r.p90_ns)),
+        ("max_ns", JsonValue::U64(r.max_ns)),
+        ("mean_ns", JsonValue::U64(r.mean_ns)),
+    ];
+    fields.extend_from_slice(extra);
+    json_object(&fields)
+}
 
 /// Builds the deterministic synthetic problem used by a bench scenario.
 fn synth_problem<'m>(
@@ -43,7 +60,7 @@ fn scheduler_line(name: &str, spec: &BenchSpec, problem: &Problem<'_>, config: &
     });
     // Counters are deterministic per problem, so one un-timed run suffices.
     let out = modulo_schedule(problem, config).expect("schedules");
-    result.json_line(&[
+    json_line(&result, &[
         ("ops", JsonValue::U64(problem.op_nodes().count() as u64)),
         ("ii", JsonValue::I64(out.schedule.ii)),
         ("mii", JsonValue::I64(out.mii.mii)),
@@ -94,7 +111,7 @@ pub fn scheduler_benches(spec: &BenchSpec) -> Vec<String> {
         let body = back_substitute(black_box(&raw), &machine);
         black_box(build_problem(&body, &machine, &BuildOptions::default()));
     });
-    lines.push(result.json_line(&[("ops", JsonValue::U64(raw.num_ops() as u64))]));
+    lines.push(json_line(&result, &[("ops", JsonValue::U64(raw.num_ops() as u64))]));
 
     lines
 }
@@ -110,8 +127,8 @@ pub fn mii_benches(spec: &BenchSpec) -> Vec<String> {
         let ops = problem.op_nodes().count() as u64;
         let mii = compute_mii(&problem, &mut Counters::new());
 
-        let with_work = |result: ims_testkit::bench::BenchResult, c: &Counters| {
-            result.json_line(&[
+        let with_work = |result: BenchResult, c: &Counters| {
+            json_line(&result, &[
                 ("ops", JsonValue::U64(ops)),
                 ("mii", JsonValue::I64(mii.mii)),
                 (
@@ -185,7 +202,7 @@ pub fn corpus_scaling_benches(spec: &BenchSpec) -> Vec<String> {
         let ms: Vec<LoopMeasurement> = measure_all(&corpus, threads);
         let steps: u64 = ms.iter().map(|m| m.total_steps).sum();
         let evictions: u64 = ms.iter().map(|m| m.counters.evictions).sum();
-        lines.push(result.json_line(&[
+        lines.push(json_line(&result, &[
             ("threads", JsonValue::U64(threads as u64)),
             ("loops", JsonValue::U64(ms.len() as u64)),
             ("total_steps", JsonValue::U64(steps)),

@@ -22,7 +22,8 @@
 //!   had before. [`NullSink`] discards everything.
 //! * [`snapshot`] renders a registry as a versioned `BENCH_<name>.json`
 //!   snapshot (deterministic section first, wall percentiles last) and
-//!   parses one back without any external dependency.
+//!   parses one back through [`json`], the workspace's one JSON codec
+//!   (parser, escaper and line writer), which every other crate reuses.
 //! * [`diff`] compares two snapshots under per-phase thresholds — the
 //!   engine behind the `benchdiff` regression gate in `scripts/verify.sh`
 //!   and CI.
@@ -42,6 +43,7 @@
 //! ```
 
 pub mod diff;
+pub mod json;
 pub mod phase;
 mod registry;
 mod sink;

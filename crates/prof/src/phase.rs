@@ -220,7 +220,7 @@ pub const REGISTRY: &[PhaseDesc] = &[
     PhaseDesc { name: EXACT_PRUNE_MRT, kind: PhaseKind::Counter, what: "slot/alternative pairs skipped on MRT conflicts" },
     PhaseDesc { name: EXACT_IIS_SEARCHED, kind: PhaseKind::Counter, what: "candidate IIs searched exhaustively" },
     PhaseDesc { name: EXACT_IIS_INFEASIBLE, kind: PhaseKind::Counter, what: "candidate IIs proven infeasible" },
-    PhaseDesc { name: EXACT_LIMIT_HITS, kind: PhaseKind::Counter, what: "searches aborted by budget or deadline" },
+    PhaseDesc { name: EXACT_LIMIT_HITS, kind: PhaseKind::Counter, what: "searches aborted by the node budget" },
     PhaseDesc { name: SAT_VARS, kind: PhaseKind::Counter, what: "CNF variables allocated (all per-II encodings)" },
     PhaseDesc { name: SAT_CLAUSES, kind: PhaseKind::Counter, what: "CNF clauses added (original, not learned)" },
     PhaseDesc { name: SAT_CONFLICTS, kind: PhaseKind::Counter, what: "CDCL conflicts analyzed" },

@@ -25,15 +25,21 @@
 
 pub mod cache;
 pub mod corpus;
-pub mod json;
 pub mod pool;
 pub mod service;
 pub mod wire;
 
+/// The service's JSON layer is the workspace's one codec: each request
+/// line is parsed once, in linear time, into a [`json::Value`] tree, and
+/// responses are formatted with `format!` around [`json::escape`]. They
+/// hold only integers and strings, so no float formatting ever reaches
+/// the output and byte determinism is trivial to audit.
+pub use ims_prof::json;
+
 pub use cache::{key_request, Entry, Keyed, ScheduleCache};
 pub use corpus::{dedup_keys, gen_requests, gen_requests_backend};
 pub use service::{serve_stream, Engine};
-pub use wire::{machine_by_name, parse_request, parse_stats_request, Request, WireEdge};
+pub use wire::{machine_by_name, parse_request, stats_id, Request, WireEdge};
 
 #[cfg(unix)]
 pub use service::serve_socket;

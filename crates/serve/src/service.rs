@@ -43,9 +43,9 @@ use ims_sat::default_registry;
 use ims_stats::Histogram;
 
 use crate::cache::{key_request, CanonProblem, Entry, Keyed, ScheduleCache};
-use crate::json;
+use crate::json::{self, Value};
 use crate::pool;
-use crate::wire::{machine_by_name, parse_request, parse_stats_request, Request};
+use crate::wire::{machine_by_name, request_from_json, stats_id, Request};
 
 /// Everything a worker needs to schedule one cache miss. Derived from the
 /// first request that missed on the key; every field below is part of the
@@ -136,15 +136,6 @@ fn run_job(job: &Job) -> Entry {
         Ok(out) => entry_ok(&out.schedule, out.mii.mii, None),
         Err(e) => Entry::Failed { error: format!("schedule failed: {e}") },
     }
-}
-
-/// Best-effort id recovery for lines that failed request validation, so
-/// the client can still correlate the error response. Falls back to `""`.
-fn recover_id(line: &str) -> String {
-    json::parse(line)
-        .ok()
-        .and_then(|v| v.get("id").and_then(|i| i.as_str().map(str::to_string)))
-        .unwrap_or_default()
 }
 
 fn render_error(id: &str, key: Option<u128>, error: &str) -> String {
@@ -291,24 +282,29 @@ impl Engine {
     /// Only I/O errors from `out`; malformed requests become error
     /// responses, not process errors.
     pub fn process_batch(&mut self, lines: &[String], out: &mut impl Write) -> io::Result<()> {
-        // Stage 1: parse + canonicalize. Stats probes are recognized
-        // first — they carry no problem and are never hashed.
+        // Stage 1: parse + canonicalize. Each line is parsed once; stats
+        // probes are recognized first — they carry no problem and are
+        // never hashed — and an invalid request echoes whatever string
+        // `id` its document has.
         let parsed: Vec<Parsed> = lines
             .iter()
             .map(|line| {
-                if let Some(id) = parse_stats_request(line) {
-                    return Parsed::Stats(id);
+                let invalid = |id: &str, e: &str| {
+                    Parsed::Invalid(render_error(id, None, &format!("invalid request: {e}")))
+                };
+                let v = match json::parse(line) {
+                    Ok(v) => v,
+                    Err(e) => return invalid("", &format!("invalid JSON: {e}")),
+                };
+                if let Some(id) = stats_id(&v) {
+                    return Parsed::Stats(id.to_string());
                 }
-                match parse_request(line) {
+                match request_from_json(&v) {
                     Ok(req) => {
                         let keyed = key_request(&req);
                         Parsed::Request(req, keyed)
                     }
-                    Err(e) => Parsed::Invalid(render_error(
-                        &recover_id(line),
-                        None,
-                        &format!("invalid request: {e}"),
-                    )),
+                    Err(e) => invalid(v.get("id").and_then(Value::as_str).unwrap_or(""), &e),
                 }
             })
             .collect();

@@ -41,7 +41,7 @@
 //! design (the cache-determinism contract, `DESIGN.md` §5e); hit/miss
 //! tallies go to the profiler registry and stderr instead.
 //!
-//! A **stats request** is `{"id":"…","stats":true}` ([`parse_stats_request`]).
+//! A **stats request** is `{"id":"…","stats":true}` ([`stats_id`]).
 //! It is answered in-line with the engine's running tallies over every
 //! line that *strictly precedes* it in the stream — deterministic by
 //! construction, so clients can interleave stats probes with work
@@ -164,30 +164,40 @@ fn kind_by_name(s: &str) -> Option<DepKind> {
 /// Detects a statistics request — `{"id":"…","stats":true}` — and
 /// returns its `id`.
 ///
-/// A line whose `stats` field is boolean `true` and whose `id` is a
+/// A document whose `stats` field is boolean `true` and whose `id` is a
 /// string is a stats request regardless of any other fields present;
 /// anything else (including `"stats":false` or a missing `id`) returns
-/// `None` and flows through [`parse_request`] as usual. Stats requests
-/// never touch the cache and are never hashed.
-pub fn parse_stats_request(line: &str) -> Option<String> {
-    let v = json::parse(line).ok()?;
-    let obj = v.as_obj()?;
-    if obj.get("stats").and_then(Value::as_bool) != Some(true) {
+/// `None` and flows through [`request_from_json`] as usual. Stats
+/// requests never touch the cache and are never hashed.
+pub fn stats_id(v: &Value) -> Option<&str> {
+    if v.get("stats").and_then(Value::as_bool) != Some(true) {
         return None;
     }
-    obj.get("id").and_then(Value::as_str).map(str::to_string)
+    v.get("id").and_then(Value::as_str)
 }
 
-/// Parses and validates one request line.
+/// Parses and validates one request line: [`json::parse`] followed by
+/// [`request_from_json`].
 ///
 /// # Errors
 ///
-/// A human-readable description of the first problem found: JSON syntax,
-/// missing/ill-typed fields, unknown mnemonics/machines/kinds, or
-/// out-of-range edge endpoints. The error string is a pure function of
-/// the line, so error responses are as deterministic as successes.
+/// `invalid JSON: …` for a syntax error, otherwise the
+/// [`request_from_json`] error.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+    request_from_json(&v)
+}
+
+/// Validates one parsed request document.
+///
+/// # Errors
+///
+/// A human-readable description of the first problem found:
+/// missing/ill-typed fields, unknown mnemonics/machines/kinds, or
+/// out-of-range edge endpoints. The error string is a pure function
+/// of the document, so error responses are as deterministic as
+/// successes.
+pub fn request_from_json(v: &Value) -> Result<Request, String> {
     let obj = v.as_obj().ok_or("request must be a JSON object")?;
 
     let id = obj
@@ -469,10 +479,11 @@ mod tests {
 
     #[test]
     fn stats_requests_are_detected() {
-        assert_eq!(parse_stats_request(r#"{"id":"s1","stats":true}"#).as_deref(), Some("s1"));
+        let id = |line: &str| stats_id(&json::parse(line).unwrap()).map(str::to_string);
+        assert_eq!(id(r#"{"id":"s1","stats":true}"#).as_deref(), Some("s1"));
         // `stats` wins over any scheduling fields riding along.
         assert_eq!(
-            parse_stats_request(r#"{"id":"s2","stats":true,"ops":["add"]}"#).as_deref(),
+            id(r#"{"id":"s2","stats":true,"ops":["add"]}"#).as_deref(),
             Some("s2")
         );
         for line in [
@@ -480,9 +491,9 @@ mod tests {
             r#"{"id":"a","stats":1}"#,
             r#"{"stats":true}"#,
             r#"{"id":"a","ops":["add"]}"#,
-            "not json",
+            r#"[{"id":"a","stats":true}]"#,
         ] {
-            assert!(parse_stats_request(line).is_none(), "{line}");
+            assert!(id(line).is_none(), "{line}");
         }
     }
 

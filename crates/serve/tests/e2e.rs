@@ -10,6 +10,7 @@ use std::process::{Command, Output, Stdio};
 
 use ims_prof::snapshot::Snapshot;
 use ims_prof::phase;
+use ims_serve::json::{self, Value};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ims_serve_e2e_{tag}_{}", std::process::id()));
@@ -140,6 +141,81 @@ not json\n\
     assert!(lines[1].contains("\"ok\":false") && lines[1].contains("panicked"), "{}", lines[1]);
     assert!(lines[2].contains("\"ok\":false") && lines[2].contains("schedule failed"));
     assert!(lines[3].contains("\"ok\":true"));
+}
+
+/// The `id` and `ok` fields of one response line.
+fn id_ok(line: &str) -> (String, bool) {
+    let v = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    let id = v.get("id").and_then(Value::as_str).expect("id echoed");
+    let ok = v.get("ok").and_then(Value::as_bool).expect("ok field");
+    (id.to_string(), ok)
+}
+
+#[test]
+fn a_one_mib_id_gets_exactly_one_response_echoing_it() {
+    let big = "x".repeat(1 << 20);
+    let input = format!(
+        "{{\"id\":\"{big}\",\"machine\":\"minimal\",\"ops\":[\"add\"]}}\n\
+         {{\"id\":\"{big}\",\"ops\":[\"frobnicate\"]}}\n\
+         {{\"id\":\"probe\",\"stats\":true}}\n"
+    );
+    let out = scheduled(&["--threads", "1"], &input);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "one response per request line");
+    assert_eq!(id_ok(lines[0]), (big.clone(), true));
+    // A request that fails validation still echoes its id.
+    assert_eq!(id_ok(lines[1]), (big, false));
+    assert!(lines[1].ends_with("\"error\":\"invalid request: unknown opcode \\\"frobnicate\\\"\"}"));
+    assert_eq!(id_ok(lines[2]), ("probe".to_string(), true));
+    assert!(lines[2].contains("\"requests\":2"), "{}", lines[2]);
+}
+
+#[test]
+fn numbers_outside_the_json_grammar_get_error_responses() {
+    let mut input = String::new();
+    for n in ["+1", ".5", "1.", "01"] {
+        input += &format!("{{\"id\":\"n\",\"budget_ratio\":{n},\"ops\":[\"add\"]}}\n");
+    }
+    // Integral values in fraction or exponent form are still integers.
+    input.push_str("{\"id\":\"i\",\"max_ii\":2.0e1,\"node_limit\":1e5,\"ops\":[\"add\"]}\n");
+    let out = scheduled(&["--threads", "1"], &input);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 5);
+    for line in &lines[..4] {
+        assert!(line.starts_with("{\"id\":\"\",\"ok\":false,"), "{line}");
+        assert!(line.contains("invalid JSON: invalid number"), "{line}");
+    }
+    assert_eq!(id_ok(lines[4]), ("i".to_string(), true));
+}
+
+#[test]
+fn integers_beyond_the_wire_range_are_rejected_not_wrapped() {
+    let edge = |from: &str, delay: &str| {
+        format!(
+            "{{\"id\":\"e\",\"machine\":\"minimal\",\"ops\":[\"add\",\"add\"],\
+             \"edges\":[[{from},1,{delay},0,\"flow\",false]]}}\n"
+        )
+    };
+    let (min, max) = (i128::MIN.to_string(), i128::MAX.to_string());
+    let input = edge(&min, "1") + &edge("0", &min) + &edge(&max, "1") + &edge("0", "1");
+    let out = scheduled(&["--threads", "1"], &input);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "one response per request line");
+    for (line, err) in lines.iter().zip([
+        "edges[0]: from out of range",
+        "edges[0]: delay must be an integer",
+        "edges[0]: from out of range",
+    ]) {
+        assert_eq!(id_ok(line), ("e".to_string(), false), "{line}");
+        assert!(line.contains(err), "{line}");
+    }
+    assert_eq!(id_ok(lines[3]), ("e".to_string(), true));
 }
 
 #[test]

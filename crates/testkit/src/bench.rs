@@ -2,10 +2,10 @@
 //!
 //! [`run`] executes a closure for a configurable number of warmup and
 //! timed iterations and summarizes the per-iteration wall-clock times
-//! (min / median / p90 / mean / max). [`BenchResult::json_line`] renders
-//! one machine-readable JSON object per benchmark — timings plus any
-//! caller-supplied observability counters — so repeated runs can be
-//! appended to a `BENCH_*.jsonl` file and tracked over time.
+//! (min / median / p90 / mean / max); callers render each result as one
+//! machine-readable JSON line (timings plus their own observability
+//! counters), so repeated runs can be appended to a `BENCH_*.jsonl` file
+//! and tracked over time.
 //!
 //! This replaces the Criterion benches the workspace used to carry: no
 //! statistical outlier rejection, no plotting — just deterministic
@@ -62,99 +62,6 @@ pub struct BenchResult {
     pub mean_ns: u64,
 }
 
-impl BenchResult {
-    /// Renders the result as one JSON object line, appending the given
-    /// `extra` counter fields after the timing fields.
-    pub fn json_line(&self, extra: &[(&str, JsonValue)]) -> String {
-        let mut out = String::with_capacity(160);
-        out.push('{');
-        push_field(&mut out, "bench", &JsonValue::Str(self.name.clone()));
-        push_field(&mut out, "iters", &JsonValue::U64(self.iters as u64));
-        push_field(&mut out, "min_ns", &JsonValue::U64(self.min_ns));
-        push_field(&mut out, "median_ns", &JsonValue::U64(self.median_ns));
-        push_field(&mut out, "p90_ns", &JsonValue::U64(self.p90_ns));
-        push_field(&mut out, "max_ns", &JsonValue::U64(self.max_ns));
-        push_field(&mut out, "mean_ns", &JsonValue::U64(self.mean_ns));
-        for (key, value) in extra {
-            push_field(&mut out, key, value);
-        }
-        out.pop(); // trailing comma
-        out.push('}');
-        out
-    }
-}
-
-/// A JSON scalar for [`BenchResult::json_line`] extra fields.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// An unsigned integer.
-    U64(u64),
-    /// A signed integer.
-    I64(i64),
-    /// A float (rendered with up to 6 significant decimals; non-finite
-    /// values render as `null`).
-    F64(f64),
-    /// A string (escaped).
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-}
-
-/// Renders a complete JSON object line from `(key, value)` pairs, in
-/// order. This is the escaping/rendering core shared by
-/// [`BenchResult::json_line`] and the `ims-trace` event writer, so every
-/// JSON line the workspace emits goes through one escaper.
-pub fn json_object(fields: &[(&str, JsonValue)]) -> String {
-    let mut out = String::with_capacity(32 + fields.len() * 16);
-    out.push('{');
-    for (key, value) in fields {
-        push_field(&mut out, key, value);
-    }
-    if fields.is_empty() {
-        out.push('}');
-    } else {
-        out.pop(); // trailing comma
-        out.push('}');
-    }
-    out
-}
-
-/// Appends `"key":value,` to `out`, escaping the key and any string value.
-pub fn push_field(out: &mut String, key: &str, value: &JsonValue) {
-    out.push('"');
-    escape_into(out, key);
-    out.push_str("\":");
-    match value {
-        JsonValue::U64(v) => out.push_str(&v.to_string()),
-        JsonValue::I64(v) => out.push_str(&v.to_string()),
-        JsonValue::F64(v) if v.is_finite() => out.push_str(&format!("{v}")),
-        JsonValue::F64(_) => out.push_str("null"),
-        JsonValue::Str(s) => {
-            out.push('"');
-            escape_into(out, s);
-            out.push('"');
-        }
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-    }
-    out.push(',');
-}
-
-/// Appends `s` to `out` with JSON string escaping (quotes, backslashes,
-/// and control characters).
-pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 /// Runs `body` for `spec.warmup` untimed and `spec.iters` timed
 /// iterations and returns the timing summary.
 pub fn run<F: FnMut()>(name: &str, spec: BenchSpec, mut body: F) -> BenchResult {
@@ -201,51 +108,6 @@ mod tests {
         assert!(r.median_ns <= r.p90_ns);
         assert!(r.p90_ns <= r.max_ns);
         assert!(r.mean_ns >= r.min_ns && r.mean_ns <= r.max_ns);
-    }
-
-    #[test]
-    fn json_line_is_well_formed() {
-        let r = BenchResult {
-            name: "mii \"n=12\"".into(),
-            iters: 3,
-            min_ns: 10,
-            median_ns: 20,
-            p90_ns: 30,
-            max_ns: 40,
-            mean_ns: 23,
-        };
-        let line = r.json_line(&[
-            ("evictions", JsonValue::U64(7)),
-            ("ratio", JsonValue::F64(1.5)),
-            ("ok", JsonValue::Bool(true)),
-            ("tag", JsonValue::Str("a\\b".into())),
-        ]);
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        assert!(line.contains(r#""bench":"mii \"n=12\""#), "{line}");
-        assert!(line.contains(r#""median_ns":20"#), "{line}");
-        assert!(line.contains(r#""evictions":7"#), "{line}");
-        assert!(line.contains(r#""ratio":1.5"#), "{line}");
-        assert!(line.contains(r#""ok":true"#), "{line}");
-        assert!(line.contains(r#""tag":"a\\b""#), "{line}");
-        assert!(!line.contains(",}"), "{line}");
-    }
-
-    #[test]
-    fn json_object_renders_fields_in_order() {
-        let line = json_object(&[
-            ("ev", JsonValue::Str("op_scheduled".into())),
-            ("node", JsonValue::U64(3)),
-            ("forced", JsonValue::Bool(false)),
-        ]);
-        assert_eq!(line, r#"{"ev":"op_scheduled","node":3,"forced":false}"#);
-        assert_eq!(json_object(&[]), "{}");
-    }
-
-    #[test]
-    fn nonfinite_floats_render_as_null() {
-        let r = run("noop", BenchSpec::smoke(), || {});
-        let line = r.json_line(&[("bad", JsonValue::F64(f64::NAN))]);
-        assert!(line.contains(r#""bad":null"#), "{line}");
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //!   `(seed, size)` pair, an iteration budget, failure shrinking by
 //!   halving the size, and explicit persisted regression seeds;
 //! * [`bench`][mod@bench] — wall-clock micro-benchmarks (warmup + N timed
-//!   iterations, median/p90 statistics) that print one machine-readable
-//!   JSON line per benchmark.
+//!   iterations, median/p90 statistics).
 //!
 //! None of this aims to be a general-purpose replacement for `rand`,
 //! `proptest`, or `criterion`; it implements exactly the surface the IMS

@@ -10,7 +10,7 @@
 //! [`SchedObserver`]: ims_core::SchedObserver
 
 use ims_core::BackendKind;
-use ims_testkit::bench::{json_object, JsonValue};
+use ims_prof::json::{self, json_object, JsonValue};
 
 /// One scheduler event, mirroring the hooks of
 /// [`SchedObserver`](ims_core::SchedObserver). Node identities are raw
@@ -135,43 +135,42 @@ impl SchedEvent {
     }
 
     /// Parses one JSON trace line back into an event. Returns `None` for
-    /// anything that is not a well-formed event line (unknown `"ev"`,
-    /// missing fields, non-numeric payloads).
+    /// anything that is not a well-formed event line (invalid JSON,
+    /// unknown `"ev"`, missing fields, ill-typed or out-of-range payloads).
     pub fn parse(line: &str) -> Option<SchedEvent> {
-        let line = line.trim();
-        let ev = str_field(line, "ev")?;
-        Some(match ev {
+        let v = json::parse(line).ok()?;
+        Some(match v.get("ev")?.as_str()? {
             "attempt_start" => SchedEvent::AttemptStart {
-                ii: i64_field(line, "ii")?,
-                budget: i64_field(line, "budget")?,
+                ii: v.get("ii")?.as_int()?,
+                budget: v.get("budget")?.as_int()?,
                 // Traces predating the backend field are iterative ones.
-                backend: match str_field(line, "backend") {
-                    Some(name) => BackendKind::from_name(name)?,
+                backend: match v.get("backend") {
+                    Some(name) => BackendKind::from_name(name.as_str()?)?,
                     None => BackendKind::Ims,
                 },
             },
             "op_scheduled" => SchedEvent::OpScheduled {
-                node: i64_field(line, "node")?.try_into().ok()?,
-                time: i64_field(line, "time")?,
-                alt: i64_field(line, "alt")?.try_into().ok()?,
-                forced: bool_field(line, "forced")?,
+                node: v.get("node")?.as_int()?,
+                time: v.get("time")?.as_int()?,
+                alt: v.get("alt")?.as_int()?,
+                forced: v.get("forced")?.as_bool()?,
             },
             "op_evicted" => SchedEvent::OpEvicted {
-                node: i64_field(line, "node")?.try_into().ok()?,
-                evictor: i64_field(line, "evictor")?.try_into().ok()?,
+                node: v.get("node")?.as_int()?,
+                evictor: v.get("evictor")?.as_int()?,
             },
             "slot_search" => SchedEvent::SlotSearch {
-                node: i64_field(line, "node")?.try_into().ok()?,
-                estart: i64_field(line, "estart")?,
-                iters: i64_field(line, "iters")?.try_into().ok()?,
+                node: v.get("node")?.as_int()?,
+                estart: v.get("estart")?.as_int()?,
+                iters: v.get("iters")?.as_int()?,
             },
             "budget_exhausted" => SchedEvent::BudgetExhausted {
-                ii: i64_field(line, "ii")?,
-                spent: i64_field(line, "spent")?.try_into().ok()?,
+                ii: v.get("ii")?.as_int()?,
+                spent: v.get("spent")?.as_int()?,
             },
             "attempt_done" => SchedEvent::AttemptDone {
-                ii: i64_field(line, "ii")?,
-                ok: bool_field(line, "ok")?,
+                ii: v.get("ii")?.as_int()?,
+                ok: v.get("ok")?.as_bool()?,
             },
             _ => return None,
         })
@@ -205,35 +204,6 @@ pub fn parse_trace_prefix(text: &str) -> (Vec<SchedEvent>, bool) {
         }
     }
     (events, true)
-}
-
-/// The raw text of `key`'s value in a single-level JSON object line.
-/// Sufficient for the trace schema: values are integers, booleans, or
-/// strings without embedded commas/braces.
-fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim())
-}
-
-fn i64_field(line: &str, key: &str) -> Option<i64> {
-    raw_field(line, key)?.parse().ok()
-}
-
-fn bool_field(line: &str, key: &str) -> Option<bool> {
-    match raw_field(line, key)? {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
-
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    raw_field(line, key)?
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
 }
 
 #[cfg(test)]

@@ -250,6 +250,53 @@ cargo run --release --offline -q -p ims-bench --bin benchdiff -- \
     --strict-counters --no-wall
 echo "    $((2 * n_half)) responses byte-identical across thread counts; second pass fully cached ($hits hits, $misses misses)"
 
+echo "==> scheduled service: adversarial lines answered one for one"
+# A 1 MiB id, a number outside the JSON grammar, a truncated object, a
+# request that fails validation, an edge endpoint of i128::MIN (an exact
+# integer literal far outside the wire range) and a stats probe (plus a
+# blank line, which gets no response). Every non-blank line must get
+# exactly one response, carrying the id recovered from its line ("" when
+# the line is not JSON at all).
+adv="$bench_dir/serve_adversarial.jsonl"
+adv_log="$bench_dir/serve_adversarial_responses.jsonl"
+big_id=$(head -c 1048576 /dev/zero | tr '\0' 'x')
+{
+    printf '{"id":"%s","machine":"minimal","ops":["add"]}\n' "$big_id"
+    printf '{"id":"plus","budget_ratio":+1,"ops":["add"]}\n'
+    printf '{"id":"cut","ops":["add"\n'
+    printf '\n'
+    printf '{"id":"bad-op","ops":["frobnicate"]}\n'
+    printf '{"id":"min","ops":["add","add"],"edges":[[%s,1,1,0,"flow",false]]}\n' \
+        -170141183460469231731687303715884105728
+    printf '{"id":"probe","stats":true}\n'
+} >"$adv"
+cargo run --release --offline -q -p ims-serve --bin scheduled -- \
+    --threads 1 --requests "$adv" >"$adv_log" 2>/dev/null
+n_in=$(grep -c . "$adv")
+n_out=$(wc -l <"$adv_log")
+if [ "$n_out" -ne "$n_in" ]; then
+    echo "FAIL: $n_out responses to $n_in adversarial request lines" >&2
+    exit 1
+fi
+adv_expect=(
+    "{\"id\":\"$big_id\",\"ok\":true,"
+    '{"id":"","ok":false,"error":"invalid request: invalid JSON: invalid number'
+    '{"id":"","ok":false,"error":"invalid request: invalid JSON:'
+    '{"id":"bad-op","ok":false,"error":"invalid request: unknown opcode'
+    '{"id":"min","ok":false,"error":"invalid request: edges[0]: from out of range"}'
+    '{"id":"probe","ok":true,"stats":{"requests":5,'
+)
+i=0
+while IFS= read -r resp; do
+    if [[ "$resp" != "${adv_expect[$i]}"* ]]; then
+        echo "FAIL: adversarial response $((i + 1)) does not start with the expected id and verdict" >&2
+        echo "${resp:0:200}" >&2
+        exit 1
+    fi
+    i=$((i + 1))
+done <"$adv_log"
+echo "    $n_out responses to $n_in adversarial lines, each echoing its recovered id"
+
 echo "==> scheduled service: portfolio(ims,exact) race determinism"
 preqs="$bench_dir/serve_portfolio.jsonl"
 pdoubled="$bench_dir/serve_portfolio_x2.jsonl"
